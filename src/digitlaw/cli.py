@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .digits import Base, Digit, as_base, as_digit
@@ -38,13 +38,13 @@ from .ingest import FORMATS, InputSpec, parse_dataset
 from .lawtheory import (
     BoundsReport,
     DigitDistribution,
+    KIND_MAX,
+    KIND_MIN,
     LABEL_CUSTOM,
     arithmetic_mean_distribution,
     benford,
     bounds_check,
-    exact_frequency,
     extremal_frequency,
-    extremum_locations,
     geometric_mean_distribution,
     leading_digit_count,
 )
@@ -108,7 +108,7 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         if args.output == "json":
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         else:
-            text = _RENDERERS[args.command](report)
+            text = "\n".join(_RENDERERS[args.command](report)) + "\n"
         _emit(text, args.out)
     except UsageError as exc:
         print(f"digitlaw: {exc}", file=sys.stderr)
@@ -252,7 +252,7 @@ def _sweep_digit(d: Digit, m_max: int) -> dict:
     points = []
     for m in range(1, m_max + 1):
         count = leading_digit_count(d, m, d.base)
-        freq = exact_frequency(d, m, d.base)
+        freq = Fraction(count, m)
         points.append(
             {
                 "m": m,
@@ -264,23 +264,25 @@ def _sweep_digit(d: Digit, m_max: int) -> dict:
         )
     minima = []
     maxima = []
+    n = d.value
     radix = d.base.value
     k = 1
-    while radix >= 3 and d.value * radix**k - 1 <= m_max:
-        for kind, location in zip(
-            ("min", "max"), extremum_locations(d, k, d.base)[-1]
-        ):
-            if location <= m_max:
+    power = radix
+    # Base 2 has a constant frequency of 1, hence no extrema.
+    while radix >= 3 and n * power - 1 <= m_max:
+        for first, kind, entries in ((n, KIND_MIN, minima), (n + 1, KIND_MAX, maxima)):
+            if first * power - 1 <= m_max:
                 extremum = extremal_frequency(d, k, kind, d.base)
-                entry = {
-                    "k": k,
-                    "m": extremum.location_m,
-                    "num": extremum.value.numerator,
-                    "den": extremum.value.denominator,
-                    "value": float(extremum.value),
-                }
-                (minima if kind == "min" else maxima).append(entry)
+                entries.append(
+                    {
+                        "k": k,
+                        "m": extremum.location_m,
+                        **_fraction_doc(extremum.value),
+                        "value": float(extremum.value),
+                    }
+                )
         k += 1
+        power *= radix
     return {"digit": d.value, "points": points, "minima": minima, "maxima": maxima}
 
 
@@ -321,22 +323,14 @@ def _parse_candidates(text: str) -> list[str]:
 def _read_inputs(args, spec: InputSpec, base: Base):
     summaries = []
     diagnostics: list[dict] = []
-    paths = args.input if args.input else None
-    if paths is None:
-        sources = [(_STDIN_LABEL, sys.stdin)]
-    else:
-        sources = [(path, None) for path in paths]
-    for label, stream in sources:
-        if stream is None:
+    for label in args.input or [_STDIN_LABEL]:
+        if args.input:
             with open(label, "r", encoding="utf-8", errors="replace") as handle:
                 records, diags = parse_dataset(spec, handle)
         else:
-            records, diags = parse_dataset(spec, stream)
-        values = [
-            (rec.value, rec.token if spec.decimal_token_capture else None)
-            for rec in records
-        ]
-        summaries.append(tally(values, base, source=label))
+            records, diags = parse_dataset(spec, sys.stdin)
+        pairs = ((rec.value, rec.token) for rec in records)
+        summaries.append(tally(pairs, base, source=label))
         diagnostics.extend(
             {"source": label, "line": d.line, "message": d.message} for d in diags
         )
@@ -402,10 +396,7 @@ def _handle_analyze(args) -> tuple[dict, dict, list, int]:
     names = _parse_candidates(args.candidates)
     try:
         spec = InputSpec(
-            format=args.format,
-            delimiter=args.delimiter,
-            column=args.column,
-            decimal_token_capture=(b.value == 10),
+            format=args.format, delimiter=args.delimiter, column=args.column
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from None
@@ -466,10 +457,6 @@ def _sig4(x: float) -> str:
     return format(x, "#.4g")
 
 
-def _frac_text(num: int, den: int) -> str:
-    return f"{num}/{den}"
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -478,148 +465,126 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _render_theory(report: dict) -> str:
-    result = report["result"]
-    labels = [law["label"] for law in result["laws"]]
-    lines = [f"first-digit laws, base {report['base']}"]
-    header = "n".ljust(4) + "".join(label.ljust(12) for label in labels)
-    lines.append(header.rstrip())
-    for i, n in enumerate(result["digits"]):
-        row = str(n).ljust(4)
-        for law in result["laws"]:
-            row += _sig4(law["probabilities"][i]).ljust(12)
-        lines.append(row.rstrip())
-    return "\n".join(lines) + "\n"
+def _table(
+    indent: str, columns: Sequence[tuple[str, int]], rows: Iterable[tuple]
+) -> list[str]:
+    """A header line plus one line per row, each cell left-aligned.
 
-
-def _render_extrema(entries: list[dict], kind: str) -> list[str]:
-    lines = [f"  {kind}:"]
-    for e in entries:
-        lines.append(
-            f"    k={e['k']}  m={e['m']}  "
-            f"{_frac_text(e['num'], e['den'])} = {_sig4(e['value'])}"
-        )
-    if not entries:
-        lines.append("    (none in range)")
+    columns holds (header, width) pairs.  Every column but the last is
+    padded to its width; the last is not, so no line ends in blanks.
+    """
+    fmt = indent + "".join(f"%-{width}s" for _, width in columns[:-1]) + "%s"
+    lines = [fmt % tuple(header for header, _ in columns)]
+    lines.extend(fmt % row for row in rows)
     return lines
 
 
-def _render_sweep(report: dict) -> str:
+def _render_theory(report: dict) -> list[str]:
+    laws = report["result"]["laws"]
+    columns = [("n", 4)] + [(law["label"], 12) for law in laws]
+    rows = (
+        (n, *(_sig4(law["probabilities"][n - 1]) for law in laws))
+        for n in report["result"]["digits"]
+    )
+    return [f"first-digit laws, base {report['base']}", *_table("", columns, rows)]
+
+
+def _render_sweep(report: dict) -> list[str]:
     result = report["result"]
     lines = [
         f"leading-digit frequency over {{1..m}}, base {report['base']}, "
         f"m up to {result['m_max']}"
     ]
-    many = len(result["series"]) > 1
-    for series in result["series"]:
-        lines.append(f"digit {series['digit']}:")
-        lines.append("  " + "m".ljust(10) + "count".ljust(10) + "exact".ljust(16) + "value")
-        for point in series["points"]:
-            lines.append(
-                "  "
-                + str(point["m"]).ljust(10)
-                + str(point["count"]).ljust(10)
-                + _frac_text(point["num"], point["den"]).ljust(16)
-                + _sig4(point["value"])
-            )
-        lines.extend(_render_extrema(series["minima"], "minima"))
-        lines.extend(_render_extrema(series["maxima"], "maxima"))
-        if many:
+    columns = [("m", 10), ("count", 10), ("exact", 16), ("value", 0)]
+    for i, series in enumerate(result["series"]):
+        if i:
             lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def _render_bounds_block(doc: dict) -> list[str]:
-    lines = [
-        "  "
-        + "n".ljust(4)
-        + "lower".ljust(18)
-        + "p".ljust(12)
-        + "upper".ljust(18)
-        + "within"
-    ]
-    for entry in doc["entries"]:
-        lower = entry["lower"]
-        upper = entry["upper"]
-        lower_cell = (
-            f"{_frac_text(lower['num'], lower['den'])} = "
-            f"{_sig4(lower['num'] / lower['den'])}"
+        lines.append(f"digit {series['digit']}:")
+        rows = (
+            (p["m"], p["count"], f"{p['num']}/{p['den']}", _sig4(p["value"]))
+            for p in series["points"]
         )
-        upper_cell = (
-            f"{_frac_text(upper['num'], upper['den'])} = "
-            f"{_sig4(upper['num'] / upper['den'])}"
-        )
-        lines.append(
-            "  "
-            + str(entry["digit"]).ljust(4)
-            + lower_cell.ljust(18)
-            + _sig4(entry["probability"]).ljust(12)
-            + upper_cell.ljust(18)
-            + ("yes" if entry["within"] else "NO")
-        )
-    verdict = "all digits within limits" if doc["all_within"] else "limit violations present"
-    lines.append(f"  {verdict}")
+        lines += _table("  ", columns, rows)
+        for kind in ("minima", "maxima"):
+            lines.append(f"  {kind}:")
+            lines += [
+                f"    k={e['k']}  m={e['m']}  "
+                f"{e['num']}/{e['den']} = {_sig4(e['value'])}"
+                for e in series[kind]
+            ] or ["    (none in range)"]
     return lines
 
 
-def _render_analyze(report: dict) -> str:
+def _fraction_cell(fr: dict) -> str:
+    return f"{fr['num']}/{fr['den']} = {_sig4(fr['num'] / fr['den'])}"
+
+
+def _render_bounds_block(doc: dict) -> list[str]:
+    columns = [("n", 4), ("lower", 18), ("p", 12), ("upper", 18), ("within", 0)]
+    rows = (
+        (
+            entry["digit"],
+            _fraction_cell(entry["lower"]),
+            _sig4(entry["probability"]),
+            _fraction_cell(entry["upper"]),
+            "yes" if entry["within"] else "NO",
+        )
+        for entry in doc["entries"]
+    )
+    verdict = "all digits within limits" if doc["all_within"] else "limit violations present"
+    return _table("  ", columns, rows) + [f"  {verdict}"]
+
+
+def _render_analyze(report: dict) -> list[str]:
     result = report["result"]
     sample = result["sample"]
+    empirical = result["empirical"]
+    per_digit = zip(sample["counts"], empirical["fractions"], empirical["probabilities"])
+    digit_rows = (
+        (n, count, f"{fr['num']}/{fr['den']}", _sig4(p))
+        for n, (count, fr, p) in enumerate(per_digit, start=1)
+    )
+    candidate_columns = [
+        ("label", 10), ("r", 12), ("chi_square", 14), ("dof", 6), ("mad", 12),
+        ("max_abs_dev", 0),
+    ]
+    candidate_rows = (
+        (
+            entry["label"],
+            _sig4(entry["r"]),
+            _sig4(entry["chi_square"]),
+            entry["chi_square_dof"],
+            _sig4(entry["mad"]),
+            _sig4(entry["max_abs_dev"]),
+        )
+        for entry in result["candidates"]
+    )
     lines = [
         f"sample {sample['source']}: read {sample['total_read']}, "
         f"used {sample['used']}, skipped {sample['skipped_zero']} zero "
-        f"and {sample['skipped_nonfinite']} non-finite"
+        f"and {sample['skipped_nonfinite']} non-finite",
+        "empirical first-digit frequencies:",
+        *_table("  ", [("n", 4), ("count", 10), ("exact", 16), ("p", 0)], digit_rows),
+        "candidates:",
+        *_table("  ", candidate_columns, candidate_rows),
+        f"best by r: {result['best_by_r']}",
+        "bound check of the sample:",
+        *_render_bounds_block(result["bounds"]),
     ]
-    lines.append("empirical first-digit frequencies:")
-    lines.append("  " + "n".ljust(4) + "count".ljust(10) + "exact".ljust(16) + "p")
-    for i, (count, fr) in enumerate(zip(sample["counts"], result["empirical"]["fractions"])):
-        lines.append(
-            "  "
-            + str(i + 1).ljust(4)
-            + str(count).ljust(10)
-            + _frac_text(fr["num"], fr["den"]).ljust(16)
-            + _sig4(result["empirical"]["probabilities"][i])
-        )
-    lines.append("candidates:")
-    lines.append(
-        "  "
-        + "label".ljust(10)
-        + "r".ljust(12)
-        + "chi_square".ljust(14)
-        + "dof".ljust(6)
-        + "mad".ljust(12)
-        + "max_abs_dev"
-    )
-    for entry in result["candidates"]:
-        lines.append(
-            "  "
-            + entry["label"].ljust(10)
-            + _sig4(entry["r"]).ljust(12)
-            + _sig4(entry["chi_square"]).ljust(14)
-            + str(entry["chi_square_dof"]).ljust(6)
-            + _sig4(entry["mad"]).ljust(12)
-            + _sig4(entry["max_abs_dev"])
-        )
-    lines.append(f"best by r: {result['best_by_r']}")
-    lines.append("bound check of the sample:")
-    lines.extend(_render_bounds_block(result["bounds"]))
-    if report["diagnostics"]:
-        lines.append(f"diagnostics ({len(report['diagnostics'])}):")
-        for diag in report["diagnostics"]:
-            lines.append(
-                f"  {diag['source']} line {diag['line']}: {diag['message']}"
-            )
-    return "\n".join(lines) + "\n"
+    diagnostics = report["diagnostics"]
+    if diagnostics:
+        lines.append(f"diagnostics ({len(diagnostics)}):")
+        lines += [f"  {d['source']} line {d['line']}: {d['message']}" for d in diagnostics]
+    return lines
 
 
-def _render_bounds(report: dict) -> str:
+def _render_bounds(report: dict) -> list[str]:
     result = report["result"]
-    lines = [
+    return [
         f"per-digit probability limits, base {report['base']}, "
-        f"distribution {result['label']}"
+        f"distribution {result['label']}",
+        *_render_bounds_block(result["bounds"]),
     ]
-    lines.extend(_render_bounds_block(result["bounds"]))
-    return "\n".join(lines) + "\n"
 
 
 _RENDERERS = {

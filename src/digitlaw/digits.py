@@ -26,8 +26,7 @@ DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Optional sign, digits with at most one decimal point (digits required on
 # at least one side), optional e/E exponent with optional sign.  No
 # thousands separators, no locale forms.
-NUMERAL_PATTERN = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMERAL_RE = re.compile(NUMERAL_PATTERN)
+NUMERAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 # A scaled value this close under the radix is taken to be the radix
 # itself, reached through float rounding, and carries to digit 1 of the
@@ -151,7 +150,7 @@ def leading_digit_text(token: str) -> Digit | None:
     if not isinstance(token, str):
         raise ParseError(f"not a decimal numeral: {token!r}")
     text = token.strip()
-    if not _NUMERAL_RE.fullmatch(text):
+    if not NUMERAL_RE.fullmatch(text):
         raise ParseError(f"not a decimal numeral: {token!r}")
     significand = text.lstrip("+-").partition("e")[0].partition("E")[0]
     for ch in significand:

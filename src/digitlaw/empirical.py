@@ -68,10 +68,13 @@ def tally(
     """Count leading digits over a finite stream of values.
 
     Items are bare reals or (value, token) pairs.  When a token is
-    present and the base is 10 the digit is read from the token text, so
-    the counted digit is the printed one; otherwise it is extracted
-    numerically (exactly for integers).  Sign is ignored.  Zeros and
-    non-finite values are skipped and tallied as such; nothing raises.
+    present and the base is 10 the digit is read from the token text
+    before the value is looked at, so the counted digit is the printed
+    one, even for a numeral beyond double range such as 1e400.  A token
+    that is malformed or has no nonzero digit leaves the digit to the
+    value: integers are read exactly, other values as floats.  Sign is
+    ignored.  Zeros and non-finite values are skipped and tallied as
+    such; nothing raises.
     """
     b = as_base(base)
     counts = [0] * (b.value - 1)
@@ -84,23 +87,26 @@ def tally(
         else:
             value, token = item, None
         total_read += 1
-        numeric = float(value)
-        if math.isnan(numeric) or math.isinf(numeric):
-            skipped_nonfinite += 1
-            continue
-        if numeric == 0.0:
-            skipped_zero += 1
-            continue
         digit = None
         if token is not None and b.value == 10:
             try:
                 digit = leading_digit_text(token)
             except ParseError:
-                digit = None
+                pass
         if digit is None:
             if isinstance(value, int) and not isinstance(value, bool):
+                if value == 0:
+                    skipped_zero += 1
+                    continue
                 digit = leading_digit_int(abs(value), b)
             else:
+                numeric = float(value)
+                if math.isnan(numeric) or math.isinf(numeric):
+                    skipped_nonfinite += 1
+                    continue
+                if numeric == 0.0:
+                    skipped_zero += 1
+                    continue
                 digit = leading_digit_real(numeric, b)
         counts[digit.value - 1] += 1
     used = sum(counts)

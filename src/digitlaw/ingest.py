@@ -21,14 +21,11 @@ and friends are out of scope) and ignores any third or later field.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digits import NUMERAL_PATTERN
+from .digits import NUMERAL_RE
 from .errors import DomainError, StructuralError
-
-_NUMERAL_RE = re.compile(NUMERAL_PATTERN)
 
 FORMAT_PLAIN = "plain"
 FORMAT_DELIMITED = "delimited"
@@ -47,7 +44,6 @@ class InputSpec:
     delimiter: str = ","
     column: int = 1
     comment_prefix: str = "#"
-    decimal_token_capture: bool = True
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -166,7 +162,7 @@ def _take(
     line_no: int,
     column_index: int,
 ) -> None:
-    if not _NUMERAL_RE.fullmatch(token):
+    if not NUMERAL_RE.fullmatch(token):
         diagnostics.append(
             Diagnostic(line_no, f"not a numeral: {token!r}")
         )

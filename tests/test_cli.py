@@ -174,6 +174,13 @@ def test_analyze_reads_stdin_when_no_input_given(monkeypatch, capsys):
     assert doc["result"]["sample"]["source"] == "<stdin>"
 
 
+def test_analyze_counts_numerals_beyond_double_range(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1e400 1e-400 2 5\n"))
+    sample = run_json(["analyze"], capsys)["result"]["sample"]
+    assert sample["used"] == 4 and sample["counts"][0] == 2
+    assert sample["skipped_zero"] == 0 and sample["skipped_nonfinite"] == 0
+
+
 def test_analyze_delimited_with_diagnostics(tmp_path, capsys):
     path = tmp_path / "ledger.csv"
     path.write_text("id,amount\nA,19\nB,x\nC,0.00456\n")
@@ -342,6 +349,192 @@ def test_bounds_base_two(capsys):
     assert entry["lower"] == {"num": 1, "den": 1}
     assert entry["upper"] == {"num": 1, "den": 1}
     assert entry["within"] is True
+
+
+# -------------------------------------------------------- table layout
+
+# Exact table text of small cases, pinned so that a change to the renderers
+# shows up as a diff of the whole layout, not just of a substring.
+
+THEORY_BASE_10 = """\
+first-digit laws, base 10
+n   benford     geom        arith
+1   0.3010      0.3046      0.2713
+2   0.1761      0.1759      0.1733
+3   0.1249      0.1244      0.1281
+4   0.09691     0.09632     0.1017
+5   0.07918     0.07865     0.08439
+6   0.06695     0.06647     0.07212
+7   0.05799     0.05756     0.06297
+8   0.05115     0.05077     0.05589
+9   0.04576     0.04541     0.05023
+"""
+
+
+THEORY_BASE_2 = """\
+first-digit laws, base 2
+n   benford     geom        arith
+1   1.000       1.000       1.000
+"""
+
+
+SWEEP_DIGIT_1 = """\
+leading-digit frequency over {1..m}, base 10, m up to 25
+digit 1:
+  m         count     exact           value
+  1         1         1/1             1.000
+  2         1         1/2             0.5000
+  3         1         1/3             0.3333
+  4         1         1/4             0.2500
+  5         1         1/5             0.2000
+  6         1         1/6             0.1667
+  7         1         1/7             0.1429
+  8         1         1/8             0.1250
+  9         1         1/9             0.1111
+  10        2         1/5             0.2000
+  11        3         3/11            0.2727
+  12        4         1/3             0.3333
+  13        5         5/13            0.3846
+  14        6         3/7             0.4286
+  15        7         7/15            0.4667
+  16        8         1/2             0.5000
+  17        9         9/17            0.5294
+  18        10        5/9             0.5556
+  19        11        11/19           0.5789
+  20        11        11/20           0.5500
+  21        11        11/21           0.5238
+  22        11        1/2             0.5000
+  23        11        11/23           0.4783
+  24        11        11/24           0.4583
+  25        11        11/25           0.4400
+  minima:
+    k=1  m=9  1/9 = 0.1111
+  maxima:
+    k=1  m=19  11/19 = 0.5789
+"""
+
+
+SWEEP_ALL_DIGITS_BASE_3 = """\
+leading-digit frequency over {1..m}, base 3, m up to 12
+digit 1:
+  m         count     exact           value
+  1         1         1/1             1.000
+  2         1         1/2             0.5000
+  3         2         2/3             0.6667
+  4         3         3/4             0.7500
+  5         4         4/5             0.8000
+  6         4         2/3             0.6667
+  7         4         4/7             0.5714
+  8         4         1/2             0.5000
+  9         5         5/9             0.5556
+  10        6         3/5             0.6000
+  11        7         7/11            0.6364
+  12        8         2/3             0.6667
+  minima:
+    k=1  m=2  1/2 = 0.5000
+    k=2  m=8  1/2 = 0.5000
+  maxima:
+    k=1  m=5  4/5 = 0.8000
+
+digit 2:
+  m         count     exact           value
+  1         0         0/1             0.000
+  2         1         1/2             0.5000
+  3         1         1/3             0.3333
+  4         1         1/4             0.2500
+  5         1         1/5             0.2000
+  6         2         1/3             0.3333
+  7         3         3/7             0.4286
+  8         4         1/2             0.5000
+  9         4         4/9             0.4444
+  10        4         2/5             0.4000
+  11        4         4/11            0.3636
+  12        4         1/3             0.3333
+  minima:
+    k=1  m=5  1/5 = 0.2000
+  maxima:
+    k=1  m=8  1/2 = 0.5000
+"""
+
+
+ANALYZE_WITH_DIAGNOSTICS = """\
+sample <stdin>: read 5, used 4, skipped 1 zero and 0 non-finite
+empirical first-digit frequencies:
+  n   count     exact           p
+  1   2         1/2             0.5000
+  2   1         1/4             0.2500
+  3   1         1/4             0.2500
+  4   0         0/1             0.000
+  5   0         0/1             0.000
+  6   0         0/1             0.000
+  7   0         0/1             0.000
+  8   0         0/1             0.000
+  9   0         0/1             0.000
+candidates:
+  label     r           chi_square    dof   mad         max_abs_dev
+  benford   0.9575      2.743         8     0.08843     0.1990
+  geom      0.9571      2.715         8     0.08782     0.1954
+  arith     0.9578      3.081         8     0.09496     0.2287
+best by r: arith
+bound check of the sample:
+  n   lower             p           upper             within
+  1   1/9 = 0.1111      0.5000      5/9 = 0.5556      yes
+  2   1/18 = 0.05556    0.2500      10/27 = 0.3704    yes
+  3   1/27 = 0.03704    0.2500      5/18 = 0.2778     yes
+  4   1/36 = 0.02778    0.000       2/9 = 0.2222      NO
+  5   1/45 = 0.02222    0.000       5/27 = 0.1852     NO
+  6   1/54 = 0.01852    0.000       10/63 = 0.1587    NO
+  7   1/63 = 0.01587    0.000       5/36 = 0.1389     NO
+  8   1/72 = 0.01389    0.000       10/81 = 0.1235    NO
+  9   1/81 = 0.01235    0.000       1/9 = 0.1111      NO
+  limit violations present
+diagnostics (2):
+  <stdin> line 1: not a numeral: 'x7'
+  <stdin> line 2: not a numeral: 'abc'
+"""
+
+
+BOUNDS_WITH_VIOLATION = """\
+per-digit probability limits, base 10, distribution custom
+  n   lower             p           upper             within
+  1   1/9 = 0.1111      0.8000      5/9 = 0.5556      NO
+  2   1/18 = 0.05556    0.02500     10/27 = 0.3704    NO
+  3   1/27 = 0.03704    0.02500     5/18 = 0.2778     NO
+  4   1/36 = 0.02778    0.02500     2/9 = 0.2222      NO
+  5   1/45 = 0.02222    0.02500     5/27 = 0.1852     yes
+  6   1/54 = 0.01852    0.02500     10/63 = 0.1587    yes
+  7   1/63 = 0.01587    0.02500     5/36 = 0.1389     yes
+  8   1/72 = 0.01389    0.02500     10/81 = 0.1235    yes
+  9   1/81 = 0.01235    0.02500     1/9 = 0.1111      yes
+  limit violations present
+"""
+
+
+LAYOUT_PROBS = "0.8," + ",".join(["0.025"] * 8)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, expected",
+    [
+        (["theory", "--base", "10"], None, THEORY_BASE_10),
+        (["theory", "--base", "2"], None, THEORY_BASE_2),
+        (["sweep", "--digit", "1", "--m-max", "25"], None, SWEEP_DIGIT_1),
+        (
+            ["sweep", "--all-digits", "--m-max", "12", "--base", "3"],
+            None,
+            SWEEP_ALL_DIGITS_BASE_3,
+        ),
+        (["analyze"], "12 x7 0 3.5\n19 0.25 abc\n", ANALYZE_WITH_DIAGNOSTICS),
+        (["bounds", "--probs", LAYOUT_PROBS], None, BOUNDS_WITH_VIOLATION),
+    ],
+    ids=["theory-10", "theory-2", "sweep-digit", "sweep-all-3", "analyze", "bounds"],
+)
+def test_table_text_is_pinned(argv, stdin, expected, monkeypatch, capsys):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    outcome = execute(argv)
+    assert outcome.exit_code == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 # ------------------------------------------------------ shared surface

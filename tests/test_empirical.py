@@ -66,6 +66,21 @@ def test_tally_falls_back_to_numbers_on_useless_tokens():
     assert summary.counts[4] == 2
 
 
+def test_tally_reads_the_printed_digit_beyond_double_range():
+    # 1e400 parses to inf and 1e-400 to 0.0, but both are printed with a 1
+    tokens = ["1e400", "1e-400", "2", "5", "0.0e-400"]
+    summary = tally([(float(t), t) for t in tokens])
+    assert summary.counts[0] == 2 and summary.used == 4
+    assert summary.skipped_zero == 1 and summary.skipped_nonfinite == 0
+
+
+def test_tally_reads_integers_beyond_double_range_exactly():
+    summary = tally([10**400, -(3 * 10**500), 0])
+    assert summary.counts[0] == 1 and summary.counts[2] == 1
+    assert summary.skipped_zero == 1
+    assert tally([16**300], 16).counts[0] == 1
+
+
 def test_tally_handles_negative_integers_exactly():
     summary = tally([-(10**17 + 1), -2])
     assert summary.counts[0] == 1 and summary.counts[1] == 1

@@ -24,7 +24,6 @@ def test_input_spec_defaults():
     assert spec.delimiter == ","
     assert spec.column == 1
     assert spec.comment_prefix == "#"
-    assert spec.decimal_token_capture is True
 
 
 @pytest.mark.parametrize(
