@@ -31,7 +31,7 @@ from .errors import (
     UsageError,
 )
 from .fit import CandidateScore, FitReport, chi_square, compare, mad, max_abs_dev, pearson_r
-from .ingest import Diagnostic, InputSpec, ParsedRecord, parse_dataset
+from .ingest import Diagnostic, InputSpec, read_numerals
 from .lawtheory import (
     BoundsReport,
     DigitBounds,
@@ -83,9 +83,8 @@ __all__ = [
     "max_abs_dev",
     "compare",
     "InputSpec",
-    "ParsedRecord",
     "Diagnostic",
-    "parse_dataset",
+    "read_numerals",
     "DigitLawError",
     "DomainError",
     "ParseError",

@@ -22,6 +22,7 @@ sample, capacity overflow); 2 usage error; 3 bound violation under
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -34,7 +35,7 @@ from .digits import Base, Digit, as_base, as_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
 from .errors import DigitLawError, DomainError, UsageError
 from .fit import FitReport, compare
-from .ingest import FORMATS, InputSpec, parse_dataset
+from .ingest import FORMATS, InputSpec, read_numerals
 from .lawtheory import (
     BoundsReport,
     DigitDistribution,
@@ -324,13 +325,13 @@ def _read_inputs(args, spec: InputSpec, base: Base):
     summaries = []
     diagnostics: list[dict] = []
     for label in args.input or [_STDIN_LABEL]:
+        diags = []
         if args.input:
-            with open(label, "r", encoding="utf-8", errors="replace") as handle:
-                records, diags = parse_dataset(spec, handle)
+            stream = open(label, "r", encoding="utf-8", errors="replace")
         else:
-            records, diags = parse_dataset(spec, sys.stdin)
-        pairs = ((rec.value, rec.token) for rec in records)
-        summaries.append(tally(pairs, base, source=label))
+            stream = contextlib.nullcontext(sys.stdin)
+        with stream as lines:
+            summaries.append(tally(read_numerals(spec, lines, diags), base, source=label))
         diagnostics.extend(
             {"source": label, "line": d.line, "message": d.message} for d in diags
         )

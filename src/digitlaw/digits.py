@@ -10,6 +10,7 @@ since it cannot be shifted by parse-time rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -100,6 +101,13 @@ def as_digit(n: Digit | int, base: Base | int) -> Digit:
     return Digit(n, b)
 
 
+@functools.cache
+def _digits(radix: int) -> tuple[Digit | None, ...]:
+    """The leading digits of a radix, built and validated once; index by value."""
+    b = Base(radix)
+    return (None,) + tuple(Digit(n, b) for n in range(1, radix))
+
+
 def leading_digit_int(m: int, base: Base | int = 10) -> Digit:
     """Most significant digit of a positive integer written in the base.
 
@@ -111,7 +119,7 @@ def leading_digit_int(m: int, base: Base | int = 10) -> Digit:
     radix = b.value
     while m >= radix:
         m //= radix
-    return Digit(m, b)
+    return _digits(radix)[m]
 
 
 def leading_digit_real(x: float, base: Base | int = 10) -> Digit:
@@ -135,8 +143,8 @@ def leading_digit_real(x: float, base: Base | int = 10) -> Digit:
     while s >= radix:
         s /= radix
     if radix - s <= _CARRY_ULPS * math.ulp(radix):
-        return Digit(1, b)
-    return Digit(int(s), b)
+        return _digits(b.value)[1]
+    return _digits(b.value)[int(s)]
 
 
 def leading_digit_text(token: str) -> Digit | None:
@@ -153,8 +161,5 @@ def leading_digit_text(token: str) -> Digit | None:
     if not NUMERAL_RE.fullmatch(text):
         raise ParseError(f"not a decimal numeral: {token!r}")
     significand = text.lstrip("+-").partition("e")[0].partition("E")[0]
-    for ch in significand:
-        if ch == "0" or ch == ".":
-            continue
-        return Digit(int(ch), Base(10))
-    return None
+    nonzero = significand.lstrip("0.")
+    return _digits(10)[int(nonzero[0])] if nonzero else None

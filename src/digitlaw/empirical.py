@@ -74,7 +74,11 @@ def tally(
     that is malformed or has no nonzero digit leaves the digit to the
     value: integers are read exactly, other values as floats.  Sign is
     ignored.  Zeros and non-finite values are skipped and tallied as
-    such; nothing raises.
+    such.  A value that float() rejects, such as the bare string "abc",
+    raises its ValueError or TypeError, and whatever the stream raises
+    passes through: ingest.read_numerals raises StructuralError for a
+    wrong-shape file once it is exhausted.  Items are consumed one at a
+    time and none is kept.
     """
     b = as_base(base)
     counts = [0] * (b.value - 1)

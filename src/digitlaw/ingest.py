@@ -1,4 +1,4 @@
-"""Line-oriented numeric dataset parsing into (value, token) records.
+"""Line-oriented numeric dataset parsing into a stream of (value, token) pairs.
 
 Three layouts cover the usual exports:
 
@@ -7,10 +7,13 @@ Three layouts cover the usual exports:
   spectrum2col the second field of two-column instrument dumps
                (abscissa ordinate, separated by whitespace or commas)
 
-Parsing never raises on malformed content: each bad field becomes one
-diagnostic carrying its line number, and the record keeps the exact text
-slice the value was printed as, so downstream tallying can read the
-printed digit instead of re-deriving it from the float.
+read_numerals is a generator: it takes one line at a time from the
+stream and keeps nothing per value, so a tally fed from it runs in memory that does not
+grow with the number of values.  Malformed content never raises: each
+bad field becomes one diagnostic carrying its line number, appended to a
+list the caller owns.  Each pair keeps the exact text slice the value
+was printed as, so downstream tallying can read the printed digit
+instead of re-deriving it from the float.
 
 The accepted numeral grammar is deliberately narrow: optional sign,
 decimal digits with at most one point, optional e/E exponent.  No
@@ -22,7 +25,7 @@ and friends are out of scope) and ignores any third or later field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .digits import NUMERAL_RE
 from .errors import DomainError, StructuralError
@@ -66,16 +69,6 @@ class InputSpec:
 
 
 @dataclass(frozen=True)
-class ParsedRecord:
-    """One numeric field: its parsed value and the original text slice."""
-
-    value: float
-    token: str
-    line: int
-    column_index: int
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     """A skipped field, with enough context to find it in the file."""
 
@@ -89,36 +82,31 @@ def _iter_lines(stream: str | Iterable[str]) -> Iterable[str]:
     return stream
 
 
-def parse_dataset(
-    spec: InputSpec, stream: str | Iterable[str]
-) -> tuple[list[ParsedRecord], list[Diagnostic]]:
-    """Extract numeric records from a text stream per the input spec.
+def read_numerals(
+    spec: InputSpec, stream: str | Iterable[str], diagnostics: list[Diagnostic]
+) -> Iterator[tuple[float, str]]:
+    """Yield (value, token) for each numeral of a text stream, in order.
 
     The stream is a string or any iterable of lines (an open text file
-    works).  Lines whose first non-blank characters are the comment
-    prefix are skipped outright.  Records appear in stream order; every
-    malformed or missing field yields one Diagnostic instead of an
-    exception.  A delimited stream whose requested column is absent from
-    every data line raises StructuralError, since that is a wrong-shape
-    file rather than scattered bad fields.
+    works); lines are read only as values are asked for.  Lines whose
+    first non-blank characters are the comment prefix are skipped
+    outright.  Every malformed or missing field appends one Diagnostic to
+    the caller's list instead of raising.  A delimited stream whose
+    requested column is absent from every data line raises
+    StructuralError once the stream is exhausted, since that is a
+    wrong-shape file rather than scattered bad fields.
     """
-    records: list[ParsedRecord] = []
-    diagnostics: list[Diagnostic] = []
     data_lines = 0
     column_hits = 0
-
     for line_no, raw in enumerate(_iter_lines(stream), start=1):
         line = raw.rstrip("\r\n")
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith(spec.comment_prefix):
+        if not stripped or stripped.startswith(spec.comment_prefix):
             continue
         data_lines += 1
 
         if spec.format == FORMAT_PLAIN:
-            for index, token in enumerate(line.split(), start=1):
-                _take(records, diagnostics, token, line_no, index)
+            tokens = line.split()
         elif spec.format == FORMAT_DELIMITED:
             fields = line.split(spec.delimiter)
             if len(fields) < spec.column:
@@ -131,13 +119,7 @@ def parse_dataset(
                 )
                 continue
             column_hits += 1
-            _take(
-                records,
-                diagnostics,
-                fields[spec.column - 1].strip(),
-                line_no,
-                spec.column,
-            )
+            tokens = [fields[spec.column - 1].strip()]
         else:  # spectrum2col
             fields = line.replace(",", " ").split()
             if len(fields) < 2:
@@ -145,26 +127,18 @@ def parse_dataset(
                     Diagnostic(line_no, "expected two fields, got one")
                 )
                 continue
-            _take(records, diagnostics, fields[1], line_no, 2)
+            tokens = [fields[1]]
+
+        for token in tokens:
+            if NUMERAL_RE.fullmatch(token):
+                yield float(token), token
+            else:
+                diagnostics.append(
+                    Diagnostic(line_no, f"not a numeral: {token!r}")
+                )
 
     if spec.format == FORMAT_DELIMITED and data_lines > 0 and column_hits == 0:
         raise StructuralError(
             f"column {spec.column} missing from every one of the "
             f"{data_lines} data line(s)"
         )
-    return records, diagnostics
-
-
-def _take(
-    records: list[ParsedRecord],
-    diagnostics: list[Diagnostic],
-    token: str,
-    line_no: int,
-    column_index: int,
-) -> None:
-    if not NUMERAL_RE.fullmatch(token):
-        diagnostics.append(
-            Diagnostic(line_no, f"not a numeral: {token!r}")
-        )
-        return
-    records.append(ParsedRecord(float(token), token, line_no, column_index))

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from digitlaw.digits import (
     Base,
@@ -237,3 +239,34 @@ def test_text_and_real_extractors_agree_on_clean_tokens():
         digit = leading_digit_text(token)
         assert digit is not None and digit.value == expected
         assert leading_digit_real(float(token)).value == expected
+
+
+# ------------------------------------------------- shared digit table
+
+
+@given(
+    m=st.integers(min_value=1, max_value=10**60),
+    k=st.integers(min_value=-400, max_value=400),
+    zeros=st.integers(min_value=0, max_value=20),
+)
+def test_text_route_matches_int_route(m, k, zeros):
+    expected = leading_digit_int(m)
+    assert leading_digit_text(str(m)) == expected
+    assert leading_digit_text(f"{m}e{k}") == expected
+    assert leading_digit_text(f"-0.{'0' * zeros}{m}") == expected
+
+
+@st.composite
+def digit_runs(draw):
+    """(n, N, k, r) with n*N**k + r in the run of base-N integers led by n."""
+    radix = draw(st.integers(min_value=2, max_value=36))
+    n = draw(st.integers(min_value=1, max_value=radix - 1))
+    k = draw(st.integers(min_value=0, max_value=80))
+    r = draw(st.integers(min_value=0, max_value=radix**k - 1))
+    return n, radix, k, r
+
+
+@given(digit_runs())
+def test_int_route_reads_the_leading_digit_of_every_run(run):
+    n, radix, k, r = run
+    assert leading_digit_int(n * radix**k + r, radix) == Digit(n, Base(radix))

@@ -86,6 +86,16 @@ def test_tally_handles_negative_integers_exactly():
     assert summary.counts[0] == 1 and summary.counts[1] == 1
 
 
+def test_tally_raises_on_values_float_rejects():
+    with pytest.raises(ValueError):
+        tally(["abc"])
+    with pytest.raises(TypeError):
+        tally([None])
+    # a token is read first, but a malformed one leaves the value to decide
+    with pytest.raises(ValueError):
+        tally([("abc", "abc")])
+
+
 def test_tally_source_label_is_kept():
     assert tally([1], source="run-4").source == "run-4"
 

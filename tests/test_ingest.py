@@ -3,16 +3,25 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from digitlaw.digits import leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
-from digitlaw.ingest import Diagnostic, InputSpec, ParsedRecord, parse_dataset
+from digitlaw.empirical import tally
+from digitlaw.ingest import Diagnostic, InputSpec, read_numerals
 
 
-def values_of(records):
-    return [r.value for r in records]
+def parse(spec, text):
+    """Drain read_numerals: the (value, token) pairs and the diagnostics."""
+    diagnostics = []
+    pairs = list(read_numerals(spec, text, diagnostics))
+    return pairs, diagnostics
+
+
+def values_of(pairs):
+    return [value for value, _ in pairs]
 
 
 # ----------------------------------------------------------- InputSpec
@@ -50,17 +59,15 @@ def test_input_spec_rejects_bad_configuration(kwargs):
 
 
 def test_plain_takes_every_numeral_token():
-    records, diagnostics = parse_dataset(InputSpec(), "1 2 3\n4.5 -6e2")
+    records, diagnostics = parse(InputSpec(), "1 2 3\n4.5 -6e2")
     assert values_of(records) == [1.0, 2.0, 3.0, 4.5, -600.0]
     assert diagnostics == []
-    assert [r.line for r in records] == [1, 1, 1, 2, 2]
-    assert [r.column_index for r in records] == [1, 2, 3, 1, 2]
 
 
 def test_plain_trailing_comment_tokens_become_diagnostics():
     # the comment marker only counts at line start, so trailing chatter
     # is just three unparseable tokens
-    records, diagnostics = parse_dataset(InputSpec(), "1 2 3 # trailing comment")
+    records, diagnostics = parse(InputSpec(), "1 2 3 # trailing comment")
     assert values_of(records) == [1.0, 2.0, 3.0]
     assert len(diagnostics) == 3
     assert all(d.line == 1 for d in diagnostics)
@@ -68,14 +75,14 @@ def test_plain_trailing_comment_tokens_become_diagnostics():
 
 def test_comment_lines_and_blank_lines_are_skipped():
     text = "# header\n   # indented comment\n\n   \n42\n"
-    records, diagnostics = parse_dataset(InputSpec(), text)
+    records, diagnostics = parse(InputSpec(), text)
     assert values_of(records) == [42.0]
     assert diagnostics == []
 
 
 def test_tokens_keep_their_exact_text():
-    records, _ = parse_dataset(InputSpec(), "007 +.5 1.0e-3")
-    assert [(r.token, r.value) for r in records] == [
+    records, _ = parse(InputSpec(), "007 +.5 1.0e-3")
+    assert [(token, value) for value, token in records] == [
         ("007", 7.0),
         ("+.5", 0.5),
         ("1.0e-3", 0.001),
@@ -87,7 +94,7 @@ def test_tokens_keep_their_exact_text():
 
 def test_delimited_selects_the_requested_column():
     text = "id,amount\nA,19\nB,x\nC,0.00456"
-    records, diagnostics = parse_dataset(
+    records, diagnostics = parse(
         InputSpec(format="delimited", column=2), text
     )
     assert values_of(records) == [19.0, 0.00456]
@@ -95,7 +102,7 @@ def test_delimited_selects_the_requested_column():
 
 
 def test_delimited_strips_field_padding_and_honors_delimiter():
-    records, diagnostics = parse_dataset(
+    records, diagnostics = parse(
         InputSpec(format="delimited", delimiter=";", column=2),
         "a; 19 ;c\nb;0.5;d",
     )
@@ -105,7 +112,7 @@ def test_delimited_strips_field_padding_and_honors_delimiter():
 
 def test_delimited_missing_column_on_some_lines_is_diagnosed():
     text = "1,2\n3\n4,5"
-    records, diagnostics = parse_dataset(InputSpec(format="delimited", column=2), text)
+    records, diagnostics = parse(InputSpec(format="delimited", column=2), text)
     assert values_of(records) == [2.0, 5.0]
     assert len(diagnostics) == 1 and diagnostics[0].line == 2
     assert "column 2 missing" in diagnostics[0].message
@@ -113,9 +120,9 @@ def test_delimited_missing_column_on_some_lines_is_diagnosed():
 
 def test_delimited_column_absent_everywhere_is_structural():
     with pytest.raises(StructuralError):
-        parse_dataset(InputSpec(format="delimited", column=5), "1,2\n3,4\n")
+        parse(InputSpec(format="delimited", column=5), "1,2\n3,4\n")
     # comments alone do not trigger the structural check
-    records, diagnostics = parse_dataset(
+    records, diagnostics = parse(
         InputSpec(format="delimited", column=5), "# nothing here\n"
     )
     assert records == [] and diagnostics == []
@@ -125,23 +132,22 @@ def test_delimited_column_absent_everywhere_is_structural():
 
 
 def test_spectrum_takes_the_second_field():
-    records, diagnostics = parse_dataset(
+    records, diagnostics = parse(
         InputSpec(format="spectrum2col"), "400.0 0.123\n401.0 0.456"
     )
     assert values_of(records) == [0.123, 0.456]
-    assert [r.column_index for r in records] == [2, 2]
     assert diagnostics == []
 
 
 def test_spectrum_accepts_commas_and_mixed_separators():
     text = "400.0,0.123\n401.0, 0.456\n402.0 0.789"
-    records, diagnostics = parse_dataset(InputSpec(format="spectrum2col"), text)
+    records, diagnostics = parse(InputSpec(format="spectrum2col"), text)
     assert values_of(records) == [0.123, 0.456, 0.789]
     assert diagnostics == []
 
 
 def test_spectrum_ignores_extra_fields_silently():
-    records, diagnostics = parse_dataset(
+    records, diagnostics = parse(
         InputSpec(format="spectrum2col"), "402.0 0.00789 saturated flag9"
     )
     assert values_of(records) == [0.00789]
@@ -149,7 +155,7 @@ def test_spectrum_ignores_extra_fields_silently():
 
 
 def test_spectrum_single_field_lines_are_diagnosed():
-    records, diagnostics = parse_dataset(InputSpec(format="spectrum2col"), "400.0\n")
+    records, diagnostics = parse(InputSpec(format="spectrum2col"), "400.0\n")
     assert records == []
     assert len(diagnostics) == 1 and "two fields" in diagnostics[0].message
 
@@ -158,24 +164,21 @@ def test_spectrum_single_field_lines_are_diagnosed():
 
 
 def test_crlf_line_endings_leave_no_residue_in_tokens():
-    records, _ = parse_dataset(InputSpec(), "1\r\n2\r\n")
-    assert [(r.value, r.token, r.line) for r in records] == [
-        (1.0, "1", 1),
-        (2.0, "2", 2),
-    ]
+    records, _ = parse(InputSpec(), "1\r\n2\r\n")
+    assert records == [(1.0, "1"), (2.0, "2")]
 
 
 def test_stream_and_string_inputs_agree():
     text = "1 2\n# c\n3"
     spec = InputSpec()
-    assert parse_dataset(spec, text) == parse_dataset(spec, io.StringIO(text))
-    assert parse_dataset(spec, text) == parse_dataset(spec, ["1 2\n", "# c\n", "3"])
+    assert parse(spec, text) == parse(spec, io.StringIO(text))
+    assert parse(spec, text) == parse(spec, ["1 2\n", "# c\n", "3"])
 
 
 def test_parsing_is_deterministic():
     text = "1 x 3\n4,bad\n0.5"
     spec = InputSpec()
-    assert parse_dataset(spec, text) == parse_dataset(spec, text)
+    assert parse(spec, text) == parse(spec, text)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +186,7 @@ def test_parsing_is_deterministic():
     ["1.5", "-0.25", "+3e8", ".5", "5.", "0.0001", "12345678901234567890"],
 )
 def test_numeral_grammar_accepts(token):
-    records, diagnostics = parse_dataset(InputSpec(), token)
+    records, diagnostics = parse(InputSpec(), token)
     assert len(records) == 1 and diagnostics == []
 
 
@@ -192,15 +195,15 @@ def test_numeral_grammar_accepts(token):
     ["0x10", "1_000", "nan", "inf", "1e", "e5", "--1", "1.2.3", "1,5", "½"],
 )
 def test_numeral_grammar_rejects(token):
-    records, diagnostics = parse_dataset(InputSpec(), token)
+    records, diagnostics = parse(InputSpec(), token)
     assert records == []
     assert len(diagnostics) >= 1
 
 
 def test_overflowing_exponent_becomes_an_infinite_record():
     # the grammar accepts it; the float overflows; tallying will skip it
-    records, diagnostics = parse_dataset(InputSpec(), "1e999")
-    assert len(records) == 1 and math.isinf(records[0].value)
+    records, diagnostics = parse(InputSpec(), "1e999")
+    assert len(records) == 1 and math.isinf(records[0][0])
     assert diagnostics == []
 
 
@@ -209,10 +212,9 @@ def test_garbage_bytes_never_crash_the_parser():
     for _ in range(50):
         raw = bytes(rng.randrange(0, 256) for _ in range(300))
         text = raw.decode("utf-8", errors="replace")
-        records, diagnostics = parse_dataset(InputSpec(), text)
-        for record in records:
-            assert isinstance(record, ParsedRecord)
-            assert float(record.token) == record.value
+        records, diagnostics = parse(InputSpec(), text)
+        for value, token in records:
+            assert float(token) == value
         for diagnostic in diagnostics:
             assert isinstance(diagnostic, Diagnostic)
             assert diagnostic.line >= 1
@@ -222,17 +224,55 @@ def test_token_round_trip_matches_both_extractors():
     """Whatever the parser hands over, reading the digit off the token
     and off the parsed float must agree for exactly-parsing tokens."""
     text = "400.0 0.123\n401.0 0.456\n402.5 78.9\n403 0.002"
-    records, _ = parse_dataset(InputSpec(format="spectrum2col"), text)
-    for record in records:
-        token_digit = leading_digit_text(record.token)
+    records, _ = parse(InputSpec(format="spectrum2col"), text)
+    for value, token in records:
+        token_digit = leading_digit_text(token)
         assert token_digit is not None
-        assert token_digit.value == leading_digit_real(record.value, 10).value
+        assert token_digit.value == leading_digit_real(value, 10).value
 
 
 def test_record_token_reparses_to_the_stored_value():
     rng = random.Random(702)
     tokens = [f"{rng.uniform(-1000, 1000):.6f}" for _ in range(200)]
-    records, _ = parse_dataset(InputSpec(), " ".join(tokens))
+    records, _ = parse(InputSpec(), " ".join(tokens))
     assert len(records) == 200
-    for record in records:
-        assert float(record.token) == record.value
+    for value, token in records:
+        assert float(token) == value
+
+
+def test_lines_are_read_only_as_values_are_asked_for():
+    def lines():
+        yield "1\n"
+        raise AssertionError("read past the first line")
+
+    assert next(read_numerals(InputSpec(), lines(), [])) == (1.0, "1")
+
+
+def test_diagnostics_arrive_as_the_stream_is_read():
+    diagnostics = []
+    numerals = read_numerals(InputSpec(), ["x 1\n", "2 y\n"], diagnostics)
+    assert next(numerals) == (1.0, "1")
+    assert [d.line for d in diagnostics] == [1]
+    assert list(numerals) == [(2.0, "2")]
+    assert [d.line for d in diagnostics] == [1, 2]
+
+
+def test_structural_error_arrives_once_the_stream_is_exhausted():
+    spec = InputSpec(format="delimited", column=5)
+    numerals = read_numerals(spec, "1,2\n3,4\n", [])
+    with pytest.raises(StructuralError):
+        tally(numerals)
+
+
+def test_tally_over_a_stream_holds_no_per_value_memory():
+    rng = random.Random(703)
+    text = "".join(f"{rng.lognormvariate(0, 3):.6g}\n" for _ in range(50_000))
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        summary = tally(read_numerals(InputSpec(), stream, []))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.total_read == 50_000
+    assert peak < 1_000_000

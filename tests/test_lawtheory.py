@@ -1,5 +1,6 @@
 """Closed-form law theory against brute-force and textbook oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -126,13 +127,42 @@ def test_extremal_frequency_locations_follow_the_pattern():
 
 
 def test_extremal_frequency_runs_cleanly_at_high_k_and_other_bases():
-    # the two internal evaluation routes raise if they ever disagree;
     # k caps keep (n+1)*N^k inside the 2**63 - 1 capacity limit
     for base, k_cap in ((3, 30), (10, 15), (16, 13), (36, 11)):
         for n in (1, base // 2, base - 1):
             for k in range(1, k_cap + 1):
                 extremal_frequency(max(n, 1), k, KIND_MIN, base)
                 extremal_frequency(max(n, 1), k, KIND_MAX, base)
+
+
+def test_extremal_frequency_closed_form_equals_digit_sum_form():
+    """The closed form is the telescoped ratio of digit-string sums: a
+    width-k run of ones (the repunit) over the all-(N-1) tail that
+    precedes the next block of leading digit n.  Every base, every digit,
+    every k up to the capacity cap."""
+    checked = 0
+    for base in range(3, 37):
+        for n in range(1, base):
+            for kind in (KIND_MIN, KIND_MAX):
+                for k in itertools.count(1):
+                    try:
+                        extremum = extremal_frequency(n, k, kind, base)
+                    except CapacityError:
+                        break
+                    power = base**k
+                    repunit = (power - 1) // (base - 1)
+                    if kind == KIND_MIN:
+                        by_digit_sums = Fraction(
+                            repunit, (n - 1) * power + (base - 1) * repunit
+                        )
+                    else:
+                        by_digit_sums = Fraction(
+                            repunit + power, n * power + (base - 1) * repunit
+                        )
+                    assert extremum.value == by_digit_sums, (base, n, kind, k)
+                    checked += 1
+                assert k > 1, (base, n, kind)
+    assert checked > 10_000
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, True, 2.0])
