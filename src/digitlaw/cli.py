@@ -24,11 +24,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .digits import Base, Digit, as_base, as_digit
@@ -42,12 +44,12 @@ from .lawtheory import (
     KIND_MAX,
     KIND_MIN,
     LABEL_CUSTOM,
+    _check_capacity,
     arithmetic_mean_distribution,
     benford,
     bounds_check,
     extremal_frequency,
     geometric_mean_distribution,
-    leading_digit_count,
 )
 
 EXIT_OK = 0
@@ -66,7 +68,12 @@ _STDIN_LABEL = "<stdin>"
 
 @dataclass(frozen=True)
 class CommandOutcome:
-    """Exit code plus the structured report the command produced."""
+    """Exit code plus the structured report the command produced.
+
+    A sweep report is streamed, not held: each series' `points` is an
+    iterator of (m, count, num, den, value) tuples, which emitting the
+    report has consumed by the time the outcome is returned.
+    """
 
     exit_code: int
     report: dict | None
@@ -107,10 +114,10 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
             "elapsed_s": time.perf_counter() - started,
         }
         if args.output == "json":
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            chunks = _render_json(report)
         else:
-            text = "\n".join(_RENDERERS[args.command](report)) + "\n"
-        _emit(text, args.out)
+            chunks = (line + "\n" for line in _RENDERERS[args.command](report))
+        _emit(chunks, args.out)
     except UsageError as exc:
         print(f"digitlaw: {exc}", file=sys.stderr)
         report["diagnostics"] = [{"message": str(exc)}]
@@ -249,20 +256,33 @@ def _handle_theory(args) -> tuple[dict, dict, list, int]:
     return {}, result, [], EXIT_OK
 
 
+def _sweep_points(n: int, radix: int, m_max: int) -> Iterator[tuple]:
+    """(m, count, num, den, value) for m = 1..m_max, one point at a time.
+
+    count is the number of integers in {1..m} whose leading digit is n,
+    num/den is count/m in lowest terms and value its float.  Walking the
+    runs [n*N^j, (n+1)*N^j - 1], count climbs by one per m inside a run
+    and stays flat between runs, so each point costs O(1).  Int true
+    division is correctly rounded, so value equals float(Fraction(count, m)).
+    """
+    gcd = math.gcd
+    count = 0
+    low = 1
+    start, width = n, 1
+    while low <= m_max:
+        # flat up to the run's start, then one more per m to its end
+        for step, end in ((0, start), (1, start + width)):
+            high = min(end, m_max + 1)
+            for m in range(low, high):
+                count += step
+                g = gcd(count, m)
+                yield m, count, count // g, m // g, count / m
+            low = high
+        start *= radix
+        width *= radix
+
+
 def _sweep_digit(d: Digit, m_max: int) -> dict:
-    points = []
-    for m in range(1, m_max + 1):
-        count = leading_digit_count(d, m, d.base)
-        freq = Fraction(count, m)
-        points.append(
-            {
-                "m": m,
-                "count": count,
-                "num": freq.numerator,
-                "den": freq.denominator,
-                "value": float(freq),
-            }
-        )
     minima = []
     maxima = []
     n = d.value
@@ -284,7 +304,8 @@ def _sweep_digit(d: Digit, m_max: int) -> dict:
                 )
         k += 1
         power *= radix
-    return {"digit": d.value, "points": points, "minima": minima, "maxima": maxima}
+    points = _sweep_points(n, radix, m_max)
+    return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
 
 
 def _handle_sweep(args) -> tuple[dict, dict, list, int]:
@@ -296,6 +317,7 @@ def _handle_sweep(args) -> tuple[dict, dict, list, int]:
             digits = [as_digit(args.digit, b)]
         except DomainError as exc:
             raise UsageError(str(exc)) from None
+    _check_capacity(args.m_max, "sweep --m-max")
     params = {
         "digit": None if args.all_digits else args.digit,
         "all_digits": bool(args.all_digits),
@@ -458,69 +480,126 @@ def _sig4(x: float) -> str:
     return format(x, "#.4g")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the text pieces as they come, to out_path or stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+
+
+# One sweep point as json.dumps(indent=2, sort_keys=True) lays it out in a
+# report: items of a series' points list sit 10 spaces deep, their keys 12.
+# %d and %r print ints and floats exactly as the encoder does.
+_JSON_POINT = (
+    "\n          {"
+    '\n            "count": %d,'
+    '\n            "den": %d,'
+    '\n            "m": %d,'
+    '\n            "num": %d,'
+    '\n            "value": %r'
+    "\n          }"
+)
+_EMPTY_POINTS = '"points": []'
+_POINTS_PER_WRITE = 1024
+
+
+def _render_json(report: dict) -> Iterator[str]:
+    """json.dumps(report, indent=2, sort_keys=True) + "\n", in pieces.
+
+    A sweep's point series are not handed to the encoder: the rest of the
+    report is encoded with an empty list in each series' place, and the
+    points are spliced in there a batch at a time, in the encoder's layout.
+    The key "points" appears nowhere else in a sweep report, and never
+    inside an encoded string, whose quotes are escaped.
+    """
+    streams = []
+    if report["command"] == "sweep":
+        result = report["result"]
+        streams = [s["points"] for s in result["series"]]
+        hollow = [{**s, "points": []} for s in result["series"]]
+        report = {**report, "result": {**result, "series": hollow}}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    head, *tails = text.split(_EMPTY_POINTS, len(streams))
+    yield head
+    for points, tail in zip(streams, tails):
+        yield from _json_points(points)
+        yield tail
+    yield "\n"
+
+
+def _json_points(points: Iterable[tuple]) -> Iterator[str]:
+    """A series' `"points": [...]` member, a batch of points per piece."""
+    points = iter(points)
+    yield '"points": ['
+    separator = ""
+    while batch := list(islice(points, _POINTS_PER_WRITE)):
+        yield separator + ",".join(
+            _JSON_POINT % (count, den, m, num, value)
+            for m, count, num, den, value in batch
+        )
+        separator = ","
+    yield "\n        ]" if separator else "]"
 
 
 def _table(
     indent: str, columns: Sequence[tuple[str, int]], rows: Iterable[tuple]
-) -> list[str]:
+) -> Iterator[str]:
     """A header line plus one line per row, each cell left-aligned.
 
     columns holds (header, width) pairs.  Every column but the last is
     padded to its width; the last is not, so no line ends in blanks.
     """
     fmt = indent + "".join(f"%-{width}s" for _, width in columns[:-1]) + "%s"
-    lines = [fmt % tuple(header for header, _ in columns)]
-    lines.extend(fmt % row for row in rows)
-    return lines
+    yield fmt % tuple(header for header, _ in columns)
+    for row in rows:
+        yield fmt % row
 
 
-def _render_theory(report: dict) -> list[str]:
+def _render_theory(report: dict) -> Iterator[str]:
     laws = report["result"]["laws"]
     columns = [("n", 4)] + [(law["label"], 12) for law in laws]
     rows = (
         (n, *(_sig4(law["probabilities"][n - 1]) for law in laws))
         for n in report["result"]["digits"]
     )
-    return [f"first-digit laws, base {report['base']}", *_table("", columns, rows)]
+    yield f"first-digit laws, base {report['base']}"
+    yield from _table("", columns, rows)
 
 
-def _render_sweep(report: dict) -> list[str]:
+def _render_sweep(report: dict) -> Iterator[str]:
     result = report["result"]
-    lines = [
+    yield (
         f"leading-digit frequency over {{1..m}}, base {report['base']}, "
         f"m up to {result['m_max']}"
-    ]
+    )
     columns = [("m", 10), ("count", 10), ("exact", 16), ("value", 0)]
     for i, series in enumerate(result["series"]):
         if i:
-            lines.append("")
-        lines.append(f"digit {series['digit']}:")
+            yield ""
+        yield f"digit {series['digit']}:"
         rows = (
-            (p["m"], p["count"], f"{p['num']}/{p['den']}", _sig4(p["value"]))
-            for p in series["points"]
+            (m, count, f"{num}/{den}", _sig4(value))
+            for m, count, num, den, value in series["points"]
         )
-        lines += _table("  ", columns, rows)
+        yield from _table("  ", columns, rows)
         for kind in ("minima", "maxima"):
-            lines.append(f"  {kind}:")
-            lines += [
-                f"    k={e['k']}  m={e['m']}  "
-                f"{e['num']}/{e['den']} = {_sig4(e['value'])}"
-                for e in series[kind]
-            ] or ["    (none in range)"]
-    return lines
+            yield f"  {kind}:"
+            if not series[kind]:
+                yield "    (none in range)"
+            for e in series[kind]:
+                yield (
+                    f"    k={e['k']}  m={e['m']}  "
+                    f"{e['num']}/{e['den']} = {_sig4(e['value'])}"
+                )
 
 
 def _fraction_cell(fr: dict) -> str:
     return f"{fr['num']}/{fr['den']} = {_sig4(fr['num'] / fr['den'])}"
 
 
-def _render_bounds_block(doc: dict) -> list[str]:
+def _render_bounds_block(doc: dict) -> Iterator[str]:
     columns = [("n", 4), ("lower", 18), ("p", 12), ("upper", 18), ("within", 0)]
     rows = (
         (
@@ -533,10 +612,11 @@ def _render_bounds_block(doc: dict) -> list[str]:
         for entry in doc["entries"]
     )
     verdict = "all digits within limits" if doc["all_within"] else "limit violations present"
-    return _table("  ", columns, rows) + [f"  {verdict}"]
+    yield from _table("  ", columns, rows)
+    yield f"  {verdict}"
 
 
-def _render_analyze(report: dict) -> list[str]:
+def _render_analyze(report: dict) -> Iterator[str]:
     result = report["result"]
     sample = result["sample"]
     empirical = result["empirical"]
@@ -560,32 +640,33 @@ def _render_analyze(report: dict) -> list[str]:
         )
         for entry in result["candidates"]
     )
-    lines = [
+    yield (
         f"sample {sample['source']}: read {sample['total_read']}, "
         f"used {sample['used']}, skipped {sample['skipped_zero']} zero "
-        f"and {sample['skipped_nonfinite']} non-finite",
-        "empirical first-digit frequencies:",
-        *_table("  ", [("n", 4), ("count", 10), ("exact", 16), ("p", 0)], digit_rows),
-        "candidates:",
-        *_table("  ", candidate_columns, candidate_rows),
-        f"best by r: {result['best_by_r']}",
-        "bound check of the sample:",
-        *_render_bounds_block(result["bounds"]),
-    ]
+        f"and {sample['skipped_nonfinite']} non-finite"
+    )
+    yield "empirical first-digit frequencies:"
+    digit_columns = [("n", 4), ("count", 10), ("exact", 16), ("p", 0)]
+    yield from _table("  ", digit_columns, digit_rows)
+    yield "candidates:"
+    yield from _table("  ", candidate_columns, candidate_rows)
+    yield f"best by r: {result['best_by_r']}"
+    yield "bound check of the sample:"
+    yield from _render_bounds_block(result["bounds"])
     diagnostics = report["diagnostics"]
     if diagnostics:
-        lines.append(f"diagnostics ({len(diagnostics)}):")
-        lines += [f"  {d['source']} line {d['line']}: {d['message']}" for d in diagnostics]
-    return lines
+        yield f"diagnostics ({len(diagnostics)}):"
+        for d in diagnostics:
+            yield f"  {d['source']} line {d['line']}: {d['message']}"
 
 
-def _render_bounds(report: dict) -> list[str]:
+def _render_bounds(report: dict) -> Iterator[str]:
     result = report["result"]
-    return [
+    yield (
         f"per-digit probability limits, base {report['base']}, "
-        f"distribution {result['label']}",
-        *_render_bounds_block(result["bounds"]),
-    ]
+        f"distribution {result['label']}"
+    )
+    yield from _render_bounds_block(result["bounds"])
 
 
 _RENDERERS = {

@@ -1,20 +1,33 @@
 """Command-line behavior: reports, rendering, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from digitlaw.cli import EXIT_BOUNDS, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, execute
+from digitlaw.cli import (
+    EXIT_BOUNDS,
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    _json_points,
+    _sweep_points,
+    execute,
+)
 from digitlaw.lawtheory import (
     arithmetic_mean_distribution,
     benford,
     geometric_mean_distribution,
+    leading_digit_count,
 )
 
 
@@ -127,6 +140,100 @@ def test_sweep_usage_errors(capsys):
         execute(["sweep", "--digit", "12", "--m-max", "9"]).exit_code == EXIT_USAGE
     )
     capsys.readouterr()
+
+
+def test_sweep_m_max_beyond_capacity_fails_before_any_output(capsys):
+    for which in (["--digit", "1"], ["--all-digits"]):
+        for output in ("table", "json"):
+            argv = ["sweep", *which, "--m-max", str(2**63), "--output", output]
+            outcome = execute(argv)
+            captured = capsys.readouterr()
+            assert outcome.exit_code == EXIT_FAILURE
+            assert "9223372036854775808 exceeds 2**63 - 1" in captured.err
+            assert captured.out == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_streamed_sweep_points_equal_the_exact_counts(data):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    n = data.draw(st.integers(1, radix - 1), label="n")
+    m_max = data.draw(st.integers(1, 2000), label="m_max")
+    ms = []
+    for m, count, num, den, value in _sweep_points(n, radix, m_max):
+        ms.append(m)
+        exact = Fraction(count, m)
+        assert count == leading_digit_count(n, m, radix)
+        assert (num, den) == (exact.numerator, exact.denominator)
+        assert type(value) is float and value == float(exact)
+    assert ms == list(range(1, m_max + 1))
+
+
+def exact_point(n, m, radix):
+    """A sweep point built from the per-m count, as a dict."""
+    count = leading_digit_count(n, m, radix)
+    exact = Fraction(count, m)
+    return {
+        "m": m,
+        "count": count,
+        "num": exact.numerator,
+        "den": exact.denominator,
+        "value": float(exact),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_streamed_sweep_json_is_the_encoder_text_of_the_whole_report(data):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    all_digits = data.draw(st.booleans(), label="all_digits")
+    which = ["--all-digits"]
+    if not all_digits:
+        which = ["--digit", str(data.draw(st.integers(1, radix - 1), label="n"))]
+    limit = 2000 // (radix - 1) if all_digits else 2000
+    m_max = data.draw(st.integers(1, limit), label="m_max")
+    argv = ["sweep", *which, "--m-max", str(m_max), "--base", str(radix)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outcome = execute(argv + ["--output", "json"])
+    assert outcome.exit_code == EXIT_OK
+    report = outcome.report
+    series = report["result"]["series"]
+    assert all(list(s["points"]) == [] for s in series)  # consumed by emission
+    materialised = {
+        **report,
+        "result": {
+            **report["result"],
+            "series": [
+                {
+                    **s,
+                    "points": [
+                        exact_point(s["digit"], m, radix) for m in range(1, m_max + 1)
+                    ],
+                }
+                for s in series
+            ],
+        },
+    }
+    expected = json.dumps(materialised, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == expected
+
+
+def test_an_empty_point_series_prints_as_the_encoder_prints_it():
+    assert "".join(_json_points([])) == json.dumps({"points": []})[1:-1]
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_sweep_holds_no_per_point_memory(output):
+    argv = ["sweep", "--digit", "1", "--m-max", "200000", "--output", output]
+    tracemalloc.start()
+    try:
+        outcome = execute(argv + ["--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.exit_code == EXIT_OK
+    assert peak < 2_000_000
 
 
 # ------------------------------------------------------------- analyze
@@ -550,14 +657,15 @@ def test_unknown_subcommand_and_flags_exit_two(capsys):
 
 
 def test_out_flag_writes_the_same_text_as_stdout(tmp_path, capsys):
-    outcome = execute(["theory", "--base", "8"])
-    stdout_text = capsys.readouterr().out
-    assert outcome.exit_code == EXIT_OK
-    target = tmp_path / "theory.txt"
-    outcome = execute(["theory", "--base", "8", "--out", str(target)])
-    assert outcome.exit_code == EXIT_OK
-    assert capsys.readouterr().out == ""
-    assert target.read_text() == stdout_text
+    for argv in (["theory", "--base", "8"], ["sweep", "--all-digits", "--m-max", "30"]):
+        outcome = execute(argv)
+        stdout_text = capsys.readouterr().out
+        assert outcome.exit_code == EXIT_OK
+        target = tmp_path / f"{argv[0]}.txt"
+        outcome = execute(argv + ["--out", str(target)])
+        assert outcome.exit_code == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == stdout_text
 
 
 def test_unwritable_out_path_exits_one(tmp_path, capsys):

@@ -1,0 +1,36 @@
+"""Every golden CLI case prints the stored bytes, exit code and stderr.
+
+The cases, the runner and the regeneration script are in
+tests/golden/regenerate.py.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+from regenerate import CASES, HERE, run_case  # noqa: E402
+
+STATUS = json.loads((HERE / "status.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "name, argv, stdin", CASES, ids=[name for name, _, _ in CASES]
+)
+def test_golden_output(name, argv, stdin):
+    exit_code, stdout, stderr = run_case(argv, stdin)
+    expected = (HERE / f"{name}.stdout").read_bytes()
+    assert stdout.encode("utf-8") == expected
+    assert (exit_code, stderr) == (
+        STATUS[name]["exit_code"],
+        STATUS[name]["stderr"],
+    )
+
+
+def test_every_golden_file_has_a_case():
+    names = {name for name, _, _ in CASES}
+    assert len(names) == len(CASES)
+    assert {path.stem for path in HERE.glob("*.stdout")} == names
+    assert set(STATUS) == names
