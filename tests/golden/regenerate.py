@@ -72,6 +72,35 @@ CASES: list[tuple[str, list[str], str | None]] = [
         ],
     ),
     *_both("analyze-stdin", ["analyze"], "15 25 0 95\n0.31 x 2e5\n"),
+    # The cases below print the table only, except the pooled one, to keep
+    # the corpus small; the table shows every count and diagnostic.
+    ("analyze-stdin-crlf.table", ["analyze"], "15 25\r\n0.31 x\r\n\r\n2e5\r\n"),
+    # two inputs pooled into one sample, the second with CRLF line endings
+    *_both(
+        "analyze-pooled",
+        ["analyze", "--input", "inputs/diag.txt", "--input", "inputs/crlf.txt"],
+    ),
+    # comma, tab and space separators, a one-field row and a `--` row
+    (
+        "analyze-spectrum2col.table",
+        ["analyze", "--input", "inputs/spectrum.txt", "--format", "spectrum2col"],
+        None,
+    ),
+    (
+        "analyze-short-rows.table",
+        [
+            "analyze", "--input", "inputs/short-rows.csv", "--format", "delimited",
+            "--delimiter", ";", "--column", "2",
+        ],
+        None,
+    ),
+    # zero spellings with no nonzero digit, and 1e999 beyond double range
+    ("analyze-zeros-b10.table", ["analyze", "--input", "inputs/zeros.txt"], None),
+    (
+        "analyze-zeros-b16.table",
+        ["analyze", "--input", "inputs/zeros.txt", "--base", "16"],
+        None,
+    ),
     ("bounds-probs-count", ["bounds", "--probs", "0.5,0.5"], None),
     ("analyze-missing-input", ["analyze", "--input", "inputs/no-such-file.txt"], None),
     (
