@@ -24,10 +24,16 @@ MAX_BASE = 36
 # printable character.
 DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-# Optional sign, digits with at most one decimal point (digits required on
-# at least one side), optional e/E exponent with optional sign.  No
-# thousands separators, no locale forms.
-NUMERAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# Optional sign, ASCII digits 0-9 with at most one decimal point (digits
+# required on at least one side), optional e/E exponent with optional
+# sign.  No other Unicode digits, thousands separators or locale forms.
+# Under this grammar only sign, zeros and the point can precede the first
+# nonzero digit of the significand, so it is the first character of
+# token.lstrip("+-0.") when that character is 1-9.
+NUMERAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+# The index into a base-10 count list of each nonzero ASCII digit.
+DECIMAL_INDEX = {c: i for i, c in enumerate("123456789")}
 
 # A scaled value this close under the radix is taken to be the radix
 # itself, reached through float rounding, and carries to digit 1 of the
@@ -117,8 +123,14 @@ def leading_digit_int(m: int, base: Base | int = 10) -> Digit:
     if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
         raise DomainError(f"need a positive integer, got {m!r}")
     radix = b.value
-    while m >= radix:
-        m //= radix
+    if m >= radix:
+        # One division by radix**e, with e at most log_radix(m) and a step
+        # or two short of it, leaves a quotient of a few digits; dividing
+        # digit by digit would cost time quadratic in the width.
+        e = max(0, int((m.bit_length() - 1) / math.log2(radix)) - 1)
+        m //= radix**e
+        while m >= radix:
+            m //= radix
     return _digits(radix)[m]
 
 
@@ -151,15 +163,15 @@ def leading_digit_text(token: str) -> Digit | None:
     """First nonzero digit of a decimal numeral, read from the text itself.
 
     Sign, leading zeros, and any exponent are ignored; the digit returned
-    is the one that appears in print.  Returns None when the significand
-    has no nonzero digit at all ("0", "0.000").  Raises ParseError for
-    text that is not a decimal numeral.
+    is the one that appears in print: the first character of
+    token.lstrip("+-0.") when it is 1-9 (see NUMERAL_RE).  Returns None
+    when the significand has no nonzero digit at all ("0", "0.000",
+    "0e5").  Raises ParseError for text that is not a decimal numeral.
     """
     if not isinstance(token, str):
         raise ParseError(f"not a decimal numeral: {token!r}")
     text = token.strip()
     if not NUMERAL_RE.fullmatch(text):
         raise ParseError(f"not a decimal numeral: {token!r}")
-    significand = text.lstrip("+-").partition("e")[0].partition("E")[0]
-    nonzero = significand.lstrip("0.")
-    return _digits(10)[int(nonzero[0])] if nonzero else None
+    index = DECIMAL_INDEX.get(text.lstrip("+-0.")[:1])
+    return None if index is None else _digits(10)[index + 1]

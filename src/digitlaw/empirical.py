@@ -1,12 +1,12 @@
 """Tally leading digits of observed values into an empirical distribution.
 
-A dataset enters as a stream of real values, optionally paired with the
-text token each value was printed as.  Every usable value contributes one
-leading digit; exact zeros and non-finite values carry no first digit and
-are counted separately so the summary always accounts for the whole
-stream.  Dividing the per-digit counts by the number of usable values
-gives the empirical DigitDistribution that the fit module scores against
-the theoretical laws.
+A dataset enters as a stream of real values or of the numeral tokens
+ingest.read_numerals yields.  Every usable value contributes one leading
+digit; exact zeros and non-finite values carry no first digit and are
+counted separately so the summary always accounts for the whole stream.
+Dividing the per-digit counts by the number of usable values gives the
+empirical DigitDistribution that the fit module scores against the
+theoretical laws.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digits import Base, as_base, leading_digit_int, leading_digit_real, leading_digit_text
-from .errors import EmptySampleError, ParseError, UsageError
+from .digits import DECIMAL_INDEX, Base, as_base, leading_digit_int, leading_digit_real
+from .errors import EmptySampleError, UsageError
 from .lawtheory import LABEL_EMPIRICAL, DigitDistribution
 
 
@@ -61,58 +61,55 @@ class SampleSummary:
 
 
 def tally(
-    values: Iterable[float | tuple[float, str | None]],
+    values: Iterable[float | str],
     base: Base | int = 10,
     source: str = "",
 ) -> SampleSummary:
     """Count leading digits over a finite stream of values.
 
-    Items are bare reals or (value, token) pairs.  When a token is
-    present and the base is 10 the digit is read from the token text
-    before the value is looked at, so the counted digit is the printed
-    one, even for a numeral beyond double range such as 1e400.  A token
-    that is malformed or has no nonzero digit leaves the digit to the
-    value: integers are read exactly, other values as floats.  Sign is
-    ignored.  Zeros and non-finite values are skipped and tallied as
-    such.  A value that float() rejects, such as the bare string "abc",
-    raises its ValueError or TypeError, and whatever the stream raises
-    passes through: ingest.read_numerals raises StructuralError for a
-    wrong-shape file once it is exhausted.  Items are consumed one at a
-    time and none is kept.
+    Items are reals or numeral strings.  A str item is taken to be a
+    numeral as ingest.read_numerals yields it, which is the one place that
+    validates numerals; it is not matched again here.  In base 10 its
+    digit is read from the text: the first character of
+    item.lstrip("+-0."), when that is 1-9, so the counted digit is the
+    printed one, even for a numeral beyond double range such as 1e400.  A
+    string with no nonzero digit there, and any string in another base, is
+    converted with float() once and counted by its value.  Integers are
+    read exactly, other values as floats.  Sign is ignored.  Zeros and
+    non-finite values are skipped and tallied as such.  A value that
+    float() rejects, such as the bare string "abc", raises its ValueError
+    or TypeError, and whatever the stream raises passes through:
+    ingest.read_numerals raises StructuralError for a wrong-shape file
+    once it is exhausted.  Items are consumed one at a time and none is
+    kept.
     """
     b = as_base(base)
     counts = [0] * (b.value - 1)
+    decimal_index = DECIMAL_INDEX.get if b.value == 10 else None
     total_read = 0
     skipped_zero = 0
     skipped_nonfinite = 0
     for item in values:
-        if isinstance(item, tuple):
-            value, token = item
-        else:
-            value, token = item, None
         total_read += 1
-        digit = None
-        if token is not None and b.value == 10:
-            try:
-                digit = leading_digit_text(token)
-            except ParseError:
-                pass
-        if digit is None:
-            if isinstance(value, int) and not isinstance(value, bool):
-                if value == 0:
-                    skipped_zero += 1
+        if isinstance(item, str):
+            if decimal_index is not None:
+                index = decimal_index(item.lstrip("+-0.")[:1])
+                if index is not None:
+                    counts[index] += 1
                     continue
-                digit = leading_digit_int(abs(value), b)
+        elif isinstance(item, int) and not isinstance(item, bool):
+            if item == 0:
+                skipped_zero += 1
             else:
-                numeric = float(value)
-                if math.isnan(numeric) or math.isinf(numeric):
-                    skipped_nonfinite += 1
-                    continue
-                if numeric == 0.0:
-                    skipped_zero += 1
-                    continue
-                digit = leading_digit_real(numeric, b)
-        counts[digit.value - 1] += 1
+                counts[leading_digit_int(abs(item), b).value - 1] += 1
+            continue
+        numeric = float(item)
+        if math.isnan(numeric) or math.isinf(numeric):
+            skipped_nonfinite += 1
+        elif numeric == 0.0:
+            skipped_zero += 1
+        else:
+            counts[leading_digit_real(numeric, b).value - 1] += 1
     used = sum(counts)
     return SampleSummary(
         base=b,

@@ -1,4 +1,4 @@
-"""Line-oriented numeric dataset parsing into a stream of (value, token) pairs.
+"""Line-oriented numeric dataset parsing into a stream of numeral tokens.
 
 Three layouts cover the usual exports:
 
@@ -11,15 +11,17 @@ read_numerals is a generator: it takes one line at a time from the
 stream and keeps nothing per value, so a tally fed from it runs in memory that does not
 grow with the number of values.  Malformed content never raises: each
 bad field becomes one diagnostic carrying its line number, appended to a
-list the caller owns.  Each pair keeps the exact text slice the value
-was printed as, so downstream tallying can read the printed digit
-instead of re-deriving it from the float.
+list the caller owns.  Each numeral is yielded as the exact text slice it
+was printed as, so downstream tallying reads the printed digit instead of
+re-deriving it from a float.
 
-The accepted numeral grammar is deliberately narrow: optional sign,
-decimal digits with at most one point, optional e/E exponent.  No
-thousands separators, no locale decimal commas, no inf/nan words.
-spectrum2col is a minimal stand-in for real instrument formats (JCAMP-DX
-and friends are out of scope) and ignores any third or later field.
+The accepted numeral grammar (digits.NUMERAL_RE) is deliberately narrow:
+optional sign, ASCII digits 0-9 with at most one point, optional e/E
+exponent.  No other Unicode digits, no thousands separators, no locale
+decimal commas, no inf/nan words.  Each field is matched once, here, and
+nowhere else.  spectrum2col is a minimal stand-in for real instrument
+formats (JCAMP-DX and friends are out of scope) and ignores any third or
+later field.
 """
 
 from __future__ import annotations
@@ -84,31 +86,31 @@ def _iter_lines(stream: str | Iterable[str]) -> Iterable[str]:
 
 def read_numerals(
     spec: InputSpec, stream: str | Iterable[str], diagnostics: list[Diagnostic]
-) -> Iterator[tuple[float, str]]:
-    """Yield (value, token) for each numeral of a text stream, in order.
+) -> Iterator[str]:
+    """Yield the token of each numeral of a text stream, in order.
 
-    The stream is a string or any iterable of lines (an open text file
-    works); lines are read only as values are asked for.  Lines whose
-    first non-blank characters are the comment prefix are skipped
-    outright.  Every malformed or missing field appends one Diagnostic to
-    the caller's list instead of raising.  A delimited stream whose
-    requested column is absent from every data line raises
-    StructuralError once the stream is exhausted, since that is a
-    wrong-shape file rather than scattered bad fields.
+    Every token yielded fullmatches NUMERAL_RE; it is not converted.  The
+    stream is a string or any iterable of lines (an open text file works);
+    lines are read only as values are asked for.  Lines whose first
+    non-blank characters are the comment prefix are skipped outright.
+    Every malformed or missing field appends one Diagnostic to the
+    caller's list instead of raising.  A delimited stream whose requested
+    column is absent from every data line raises StructuralError once the
+    stream is exhausted, since that is a wrong-shape file rather than
+    scattered bad fields.
     """
     data_lines = 0
     column_hits = 0
     for line_no, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.rstrip("\r\n")
-        stripped = line.strip()
+        stripped = raw.strip()
         if not stripped or stripped.startswith(spec.comment_prefix):
             continue
         data_lines += 1
 
         if spec.format == FORMAT_PLAIN:
-            tokens = line.split()
+            tokens = stripped.split()
         elif spec.format == FORMAT_DELIMITED:
-            fields = line.split(spec.delimiter)
+            fields = raw.split(spec.delimiter)
             if len(fields) < spec.column:
                 diagnostics.append(
                     Diagnostic(
@@ -121,7 +123,7 @@ def read_numerals(
             column_hits += 1
             tokens = [fields[spec.column - 1].strip()]
         else:  # spectrum2col
-            fields = line.replace(",", " ").split()
+            fields = stripped.replace(",", " ").split()
             if len(fields) < 2:
                 diagnostics.append(
                     Diagnostic(line_no, "expected two fields, got one")
@@ -131,7 +133,7 @@ def read_numerals(
 
         for token in tokens:
             if NUMERAL_RE.fullmatch(token):
-                yield float(token), token
+                yield token
             else:
                 diagnostics.append(
                     Diagnostic(line_no, f"not a numeral: {token!r}")

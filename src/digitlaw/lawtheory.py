@@ -202,15 +202,16 @@ def extremal_frequency(
         raise DomainError(f"k must be a positive integer, got {k!r}")
     radix = b.value
     context = f"extremal_frequency(n={d.value}, k={k}, kind={kind}, base={radix})"
+    # Only the location is capped; the closed form's terms are exact ints
+    # of any size.  Past k = 63 every location exceeds the cap.
     if k > 63:
         raise CapacityError(f"{context}: {radix}**{k} exceeds 2**63 - 1")
-    power = _check_capacity(radix**k, context)
+    power = radix**k
     if kind == KIND_MIN:
         location = _check_capacity(d.value * power - 1, context)
         closed = Fraction(power - 1, (radix - 1) * (d.value * power - 1))
     else:
         location = _check_capacity((d.value + 1) * power - 1, context)
-        _check_capacity(radix * power - 1, context)
         closed = Fraction(radix * power - 1, (radix - 1) * ((d.value + 1) * power - 1))
     return ExtremalFrequency(d, k, kind, closed, location)
 

@@ -270,3 +270,11 @@ def digit_runs(draw):
 def test_int_route_reads_the_leading_digit_of_every_run(run):
     n, radix, k, r = run
     assert leading_digit_int(n * radix**k + r, radix) == Digit(n, Base(radix))
+
+
+@pytest.mark.parametrize("radix", [10, 16])
+def test_int_route_at_twenty_thousand_digits(radix):
+    power = radix**20000
+    for n in range(1, radix):
+        for r in (0, 1, power // 2, power - 1):
+            assert leading_digit_int(n * power + r, radix).value == n

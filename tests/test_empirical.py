@@ -52,26 +52,30 @@ def test_tally_skips_nonfinite_and_all_zero_flavors():
 
 
 def test_tally_prefers_the_printed_token_in_base_ten():
-    # token and value disagree: the printed digit wins for base 10
-    summary = tally([(2.5, "9.5")])
-    assert summary.counts[8] == 1 and summary.used == 1
-    # outside base 10 the token is ignored
-    summary16 = tally([(2.5, "9.5")], 16)
-    assert summary16.counts[1] == 1
+    # a numeral string counts by its printed digit in base 10
+    summary = tally(["9.5", "-0.0032E-12", "+.5", "007"])
+    assert summary.counts == (0, 0, 1, 0, 1, 0, 1, 0, 1)
+    # outside base 10 it counts by its value: 31 is 0x1F
+    summary16 = tally(["31", "9.5"], 16)
+    assert summary16.counts[0] == 1 and summary16.counts[8] == 1
 
 
 def test_tally_falls_back_to_numbers_on_useless_tokens():
-    # malformed token, then an all-zero token with a nonzero value
-    summary = tally([(5.0, "not-a-number"), (5.0, "0.000")])
-    assert summary.counts[4] == 2
+    # a token with no nonzero digit is decided by its value
+    summary = tally(["0.000", "-0e5", ".0", "5"])
+    assert summary.skipped_zero == 3
+    assert summary.counts[4] == 1 and summary.used == 1
 
 
 def test_tally_reads_the_printed_digit_beyond_double_range():
     # 1e400 parses to inf and 1e-400 to 0.0, but both are printed with a 1
     tokens = ["1e400", "1e-400", "2", "5", "0.0e-400"]
-    summary = tally([(float(t), t) for t in tokens])
+    summary = tally(tokens)
     assert summary.counts[0] == 2 and summary.used == 4
     assert summary.skipped_zero == 1 and summary.skipped_nonfinite == 0
+    # other bases read the value, which overflows or underflows
+    summary16 = tally(tokens, 16)
+    assert summary16.skipped_nonfinite == 1 and summary16.skipped_zero == 2
 
 
 def test_tally_reads_integers_beyond_double_range_exactly():
@@ -89,11 +93,10 @@ def test_tally_handles_negative_integers_exactly():
 def test_tally_raises_on_values_float_rejects():
     with pytest.raises(ValueError):
         tally(["abc"])
+    with pytest.raises(ValueError):
+        tally(["abc"], 16)
     with pytest.raises(TypeError):
         tally([None])
-    # a token is read first, but a malformed one leaves the value to decide
-    with pytest.raises(ValueError):
-        tally([("abc", "abc")])
 
 
 def test_tally_source_label_is_kept():

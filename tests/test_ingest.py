@@ -6,17 +6,18 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from digitlaw.digits import leading_digit_real, leading_digit_text
+from digitlaw.digits import NUMERAL_RE, leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
 from digitlaw.empirical import tally
 from digitlaw.ingest import Diagnostic, InputSpec, read_numerals
 
 
 def parse(spec, text):
-    """Drain read_numerals: the (value, token) pairs and the diagnostics."""
+    """Drain read_numerals: (float(token), token) pairs and the diagnostics."""
     diagnostics = []
-    pairs = list(read_numerals(spec, text, diagnostics))
+    pairs = [(float(token), token) for token in read_numerals(spec, text, diagnostics)]
     return pairs, diagnostics
 
 
@@ -200,6 +201,18 @@ def test_numeral_grammar_rejects(token):
     assert len(diagnostics) >= 1
 
 
+def test_numeral_grammar_takes_ascii_digits_only():
+    # Arabic-Indic and fullwidth digits are decimal digits to float(), but
+    # the grammar is ASCII 0-9, so they are diagnosed, not counted
+    records, diagnostics = parse(InputSpec(), "\u0660\u0665 \uff15 3\n\u0665e2")
+    assert records == [(3.0, "3")]
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "not a numeral: '\u0660\u0665'"),
+        (1, "not a numeral: '\uff15'"),
+        (2, "not a numeral: '\u0665e2'"),
+    ]
+
+
 def test_overflowing_exponent_becomes_an_infinite_record():
     # the grammar accepts it; the float overflows; tallying will skip it
     records, diagnostics = parse(InputSpec(), "1e999")
@@ -245,15 +258,15 @@ def test_lines_are_read_only_as_values_are_asked_for():
         yield "1\n"
         raise AssertionError("read past the first line")
 
-    assert next(read_numerals(InputSpec(), lines(), [])) == (1.0, "1")
+    assert next(read_numerals(InputSpec(), lines(), [])) == "1"
 
 
 def test_diagnostics_arrive_as_the_stream_is_read():
     diagnostics = []
     numerals = read_numerals(InputSpec(), ["x 1\n", "2 y\n"], diagnostics)
-    assert next(numerals) == (1.0, "1")
+    assert next(numerals) == "1"
     assert [d.line for d in diagnostics] == [1]
-    assert list(numerals) == [(2.0, "2")]
+    assert list(numerals) == ["2"]
     assert [d.line for d in diagnostics] == [1, 2]
 
 
@@ -276,3 +289,81 @@ def test_tally_over_a_stream_holds_no_per_value_memory():
         tracemalloc.stop()
     assert summary.total_read == 50_000
     assert peak < 1_000_000
+
+
+# --------------------------------------- differential properties
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_RUNS = st.text(alphabet="0123456789", max_size=5)
+
+
+@st.composite
+def grammar_numerals(draw):
+    """A numeral of the grammar, built from its parts."""
+    whole, fraction = draw(_RUNS), draw(_RUNS)
+    if not whole and not fraction:
+        whole = "0"
+    point = "." if fraction or draw(st.booleans()) else ""
+    exponent = ""
+    if draw(st.booleans()):
+        exponent = draw(st.sampled_from("eE")) + draw(_SIGNS) + draw(_RUNS.filter(bool))
+    return draw(_SIGNS) + whole + point + fraction + exponent
+
+
+# Junk holds at least one character no numeral has: letters, other
+# Unicode digits and punctuation.  No "#", which would start a comment.
+_JUNK = st.tuples(
+    st.text(alphabet="0123456789+-.eE", max_size=3),
+    st.sampled_from("x_,/*n\u0665\uff15\u00bd"),
+    st.text(alphabet="0123456789+-.eEx", max_size=3),
+).map("".join)
+
+_FIELDS = st.one_of(
+    grammar_numerals().map(lambda token: (True, token)),
+    _JUNK.map(lambda token: (False, token)),
+)
+
+
+def oracle_first_digit(token):
+    """The first ASCII 1-9 of the significand, 0 when there is none."""
+    for ch in token:
+        if ch in "eE":
+            break
+        if ch in "123456789":
+            return ord(ch) - ord("0")
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FIELDS, max_size=6), max_size=8))
+def test_tally_of_read_numerals_matches_a_text_oracle(lines):
+    text = "\n".join(" ".join(token for _, token in fields) for fields in lines)
+    counts = [0] * 9
+    zeros = 0
+    for fields in lines:
+        for is_numeral, token in fields:
+            if is_numeral:
+                digit = oracle_first_digit(token)
+                if digit:
+                    counts[digit - 1] += 1
+                else:
+                    zeros += 1
+    summary = tally(read_numerals(InputSpec(), text, []))
+    assert list(summary.counts) == counts
+    assert summary.skipped_zero == zeros and summary.skipped_nonfinite == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FIELDS, max_size=6), max_size=8))
+def test_read_numerals_accounts_for_every_field(lines):
+    text = "\n".join(" ".join(token for _, token in fields) for fields in lines)
+    diagnostics = []
+    tokens = list(read_numerals(InputSpec(), text, diagnostics))
+    assert all(NUMERAL_RE.fullmatch(token) for token in tokens)
+    assert tokens == [token for fields in lines for ok, token in fields if ok]
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (line_no, f"not a numeral: {token!r}")
+        for line_no, fields in enumerate(lines, start=1)
+        for ok, token in fields
+        if not ok
+    ]

@@ -165,6 +165,25 @@ def test_extremal_frequency_closed_form_equals_digit_sum_form():
     assert checked > 10_000
 
 
+def test_extremal_frequency_caps_the_location_only():
+    # N^(k+1) - 1 = 10**19 - 1 exceeds 2**63 - 1, but the location fits
+    extremum = extremal_frequency(1, 18, KIND_MAX)
+    assert extremum.location_m == 2 * 10**18 - 1
+    assert extremum.value == Fraction(10**19 - 1, 9 * (2 * 10**18 - 1))
+    # N^k = 2**63 exceeds the cap, but the location 2**63 - 1 is the cap
+    assert extremal_frequency(1, 63, KIND_MIN, 2).location_m == 2**63 - 1
+    assert extremal_frequency(1, 62, KIND_MAX, 2).location_m == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "n, k, kind, base",
+    [(1, 19, KIND_MAX, 10), (1, 19, KIND_MIN, 10), (1, 64, KIND_MIN, 2), (1, 63, KIND_MAX, 2)],
+)
+def test_extremal_frequency_refuses_the_first_location_above_the_cap(n, k, kind, base):
+    with pytest.raises(CapacityError):
+        extremal_frequency(n, k, kind, base)
+
+
 @pytest.mark.parametrize("bad_k", [0, -1, True, 2.0])
 def test_extremal_frequency_rejects_bad_k(bad_k):
     with pytest.raises((DomainError, TypeError)):
