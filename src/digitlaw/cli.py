@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .digits import Base, Digit, as_base, as_digit
+from .digits import MAX_BASE, MIN_BASE, Base, Digit, as_base, as_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
 from .errors import DigitLawError, DomainError, UsageError
 from .fit import FitReport, compare
@@ -45,6 +45,7 @@ from .lawtheory import (
     KIND_MIN,
     LABEL_CUSTOM,
     _check_capacity,
+    _location,
     arithmetic_mean_distribution,
     benford,
     bounds_check,
@@ -64,6 +65,7 @@ _LAWS: dict[str, Callable[[Base], DigitDistribution]] = {
 }
 
 _STDIN_LABEL = "<stdin>"
+_BASE_RANGE = f"{MIN_BASE}..{MAX_BASE}"
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,8 @@ def _base_flag(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"base must be an integer, got {text!r}")
-    if not 2 <= value <= 36:
-        raise argparse.ArgumentTypeError(f"base must be in 2..36, got {value}")
+    if not MIN_BASE <= value <= MAX_BASE:
+        raise argparse.ArgumentTypeError(f"base must be in {_BASE_RANGE}, got {value}")
     return value
 
 
@@ -155,7 +157,7 @@ def _positive_flag(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--base", type=_base_flag, default=10, help="radix, 2..36 (default 10)"
+        "--base", type=_base_flag, default=10, help=f"radix, {_BASE_RANGE} (default 10)"
     )
     common.add_argument(
         "--output",
@@ -221,8 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--candidates",
-        default="benford,geom,arith",
-        help="comma list from benford, geom, arith",
+        default=",".join(_LAWS),
+        help=f"comma list from {', '.join(_LAWS)}",
     )
     analyze.add_argument(
         "--require-bounds",
@@ -249,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _handle_theory(args) -> tuple[dict, dict, list, int]:
     b = as_base(args.base)
     laws = [
-        {"label": name, "probabilities": list(_LAWS[name](b).probabilities)}
-        for name in ("benford", "geom", "arith")
+        {"label": name, "probabilities": list(law(b).probabilities)}
+        for name, law in _LAWS.items()
     ]
     result = {"digits": list(range(1, b.value)), "laws": laws}
     return {}, result, [], EXIT_OK
@@ -288,11 +290,10 @@ def _sweep_digit(d: Digit, m_max: int) -> dict:
     n = d.value
     radix = d.base.value
     k = 1
-    power = radix
     # Base 2 has a constant frequency of 1, hence no extrema.
-    while radix >= 3 and n * power - 1 <= m_max:
-        for first, kind, entries in ((n, KIND_MIN, minima), (n + 1, KIND_MAX, maxima)):
-            if first * power - 1 <= m_max:
+    while radix >= 3 and _location(n, k, KIND_MIN, radix) <= m_max:
+        for kind, entries in ((KIND_MIN, minima), (KIND_MAX, maxima)):
+            if _location(n, k, kind, radix) <= m_max:
                 extremum = extremal_frequency(d, k, kind, d.base)
                 entries.append(
                     {
@@ -303,7 +304,6 @@ def _sweep_digit(d: Digit, m_max: int) -> dict:
                     }
                 )
         k += 1
-        power *= radix
     points = _sweep_points(n, radix, m_max)
     return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
 

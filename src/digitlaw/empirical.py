@@ -30,13 +30,12 @@ class SampleSummary:
 
         total_read = used + skipped_zero + skipped_nonfinite
 
-    where used = sum(counts).
+    where used = sum(counts) is derived, not stored.
     """
 
     base: Base
     counts: tuple[int, ...]
     total_read: int
-    used: int
     skipped_zero: int
     skipped_nonfinite: int
     source: str = ""
@@ -51,10 +50,12 @@ class SampleSummary:
             )
         if any(c < 0 for c in counts):
             raise UsageError("digit counts cannot be negative")
-        if self.used != sum(counts):
-            raise UsageError(f"used={self.used} but counts sum to {sum(counts)}")
         if self.total_read != self.used + self.skipped_zero + self.skipped_nonfinite:
             raise UsageError("total_read must equal used + skipped counts")
+
+    @property
+    def used(self) -> int:
+        return sum(self.counts)
 
     def count(self, n: int) -> int:
         return self.counts[n - 1]
@@ -110,12 +111,10 @@ def tally(
             skipped_zero += 1
         else:
             counts[leading_digit_real(numeric, b).value - 1] += 1
-    used = sum(counts)
     return SampleSummary(
         base=b,
         counts=tuple(counts),
         total_read=total_read,
-        used=used,
         skipped_zero=skipped_zero,
         skipped_nonfinite=skipped_nonfinite,
         source=source,
@@ -140,7 +139,6 @@ def merge(summaries: Sequence[SampleSummary]) -> SampleSummary:
         base=b,
         counts=tuple(counts),
         total_read=sum(s.total_read for s in summaries),
-        used=sum(s.used for s in summaries),
         skipped_zero=sum(s.skipped_zero for s in summaries),
         skipped_nonfinite=sum(s.skipped_nonfinite for s in summaries),
         source="+".join(s.source for s in summaries if s.source),

@@ -13,7 +13,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digits import Base
 from .empirical import SampleSummary, empirical_distribution
 from .errors import (
     DegenerateBaseError,
@@ -54,7 +53,6 @@ class FitReport:
     bounds is computed once, on the empirical distribution itself.
     """
 
-    base: Base
     sample: SampleSummary
     empirical: DigitDistribution
     entries: tuple[CandidateScore, ...]
@@ -101,15 +99,16 @@ def chi_square(summary: SampleSummary, theo: DigitDistribution) -> tuple[float, 
         raise UsageError(
             f"sample base {summary.base.value} != candidate base {theo.base.value}"
         )
-    if summary.used < 1:
+    used = summary.used
+    if used < 1:
         raise EmptySampleError("chi_square needs at least one usable value")
     statistic = 0.0
     for observed, p in zip(summary.counts, theo.probabilities):
-        expected = summary.used * p
+        expected = used * p
         if expected <= 0.0:
             raise DegenerateExpectationError(
                 f"expected count {expected} for probability {p} over "
-                f"{summary.used} values"
+                f"{used} values"
             )
         statistic += (observed - expected) ** 2 / expected
     return statistic, theo.base.value - 2
@@ -165,7 +164,6 @@ def compare(
         )
     best = max(entries, key=lambda e: (e.r, -e.mad))
     return FitReport(
-        base=summary.base,
         sample=summary,
         empirical=emp,
         entries=tuple(entries),

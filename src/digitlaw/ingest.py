@@ -38,6 +38,8 @@ FORMAT_SPECTRUM2COL = "spectrum2col"
 
 FORMATS = (FORMAT_PLAIN, FORMAT_DELIMITED, FORMAT_SPECTRUM2COL)
 
+COMMENT_PREFIX = "#"
+
 _DELIMITER_FORBIDDEN = set("0123456789+-.")
 
 
@@ -48,7 +50,6 @@ class InputSpec:
     format: str = FORMAT_PLAIN
     delimiter: str = ","
     column: int = 1
-    comment_prefix: str = "#"
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -66,8 +67,6 @@ class InputSpec:
             )
         if self.format == FORMAT_DELIMITED and self.column < 1:
             raise DomainError(f"column index is 1-based, got {self.column}")
-        if not self.comment_prefix:
-            raise DomainError("comment prefix cannot be empty")
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def read_numerals(
     Every token yielded fullmatches NUMERAL_RE; it is not converted.  The
     stream is a string or any iterable of lines (an open text file works);
     lines are read only as values are asked for.  Lines whose first
-    non-blank characters are the comment prefix are skipped outright.
+    non-blank characters are COMMENT_PREFIX are skipped outright.
     Every malformed or missing field appends one Diagnostic to the
     caller's list instead of raising.  A delimited stream whose requested
     column is absent from every data line raises StructuralError once the
@@ -103,7 +102,7 @@ def read_numerals(
     column_hits = 0
     for line_no, raw in enumerate(_iter_lines(stream), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith(spec.comment_prefix):
+        if not stripped or stripped.startswith(COMMENT_PREFIX):
             continue
         data_lines += 1
 

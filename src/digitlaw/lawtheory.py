@@ -1,19 +1,15 @@
 """Closed-form first-digit frequency theory over initial segments {1..m}.
 
 Among the integers 1..m, the fraction whose base-N representation starts
-with digit n oscillates as m grows: it bottoms out at m = n*N^k - 1, just
-before the k-digit-wide block of integers beginning with n opens, and
-peaks at m = (n+1)*N^k - 1, where that block closes.  The k-th successive
-minimum and maximum are exact rationals with simple closed forms, and
-their k -> infinity limits
-
-    f_min(n) = 1 / ((N-1) n)        f_max(n) = N / ((N-1) (n+1))
-
-bracket every admissible first-digit probability.  Normalizing the
-arithmetic or geometric mean of the two limits over the digits gives two
-closed-form first-digit laws that sit remarkably close to the logarithmic
-(Benford) distribution; the degenerate base 2 collapses all of them to
-the single certainty P(1) = 1.
+with digit n oscillates as m grows: it bottoms out just before each block
+of integers beginning with n opens, and peaks where that block closes
+(_location gives both places).  The k-th successive minimum and maximum
+are exact rationals with simple closed forms, and their k -> infinity
+limits f_min(n) and f_max(n) (limit_frequency) bracket every admissible
+first-digit probability.  Normalizing the arithmetic or geometric mean of
+the two limits over the digits gives two closed-form first-digit laws that
+sit remarkably close to the logarithmic (Benford) distribution; the
+degenerate base 2 collapses all of them to the single certainty P(1) = 1.
 
 Everything indexed by m or k is computed in exact integer and rational
 arithmetic; floating point appears only inside DigitDistribution.
@@ -69,7 +65,7 @@ class DigitDistribution:
                 f"base {self.base.value} needs {n_digits} probabilities, "
                 f"got {len(probs)}"
             )
-        if any(p < 0.0 or p > 1.0 for p in probs):
+        if not all(0.0 <= p <= 1.0 for p in probs):
             raise DomainError("probabilities must lie in [0, 1]")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
@@ -93,9 +89,8 @@ class DigitDistribution:
 class ExtremalFrequency:
     """The k-th successive extremum of the leading-digit frequency.
 
-    kind "min" occurs at m = n*N^k - 1 and kind "max" at
-    m = (n+1)*N^k - 1; value is the exact frequency there, in lowest
-    terms.
+    location_m is the m that _location gives; value is the exact
+    frequency there, in lowest terms.
     """
 
     digit: Digit
@@ -112,8 +107,7 @@ class ExtremalFrequency:
         if not 0 < self.value <= 1:
             raise DomainError(f"extremal frequency {self.value} outside (0, 1]")
         radix = self.digit.base.value
-        first = self.digit.value if self.kind == KIND_MIN else self.digit.value + 1
-        if self.location_m != first * radix**self.k - 1:
+        if self.location_m != _location(self.digit.value, self.k, self.kind, radix):
             raise DomainError(
                 f"location {self.location_m} inconsistent with "
                 f"n={self.digit.value}, k={self.k}, kind={self.kind}"
@@ -135,7 +129,6 @@ class DigitBounds:
 class BoundsReport:
     """Per-digit bound entries for one distribution."""
 
-    base: Base
     entries: tuple[DigitBounds, ...]
 
     @property
@@ -145,6 +138,17 @@ class BoundsReport:
     @property
     def violations(self) -> tuple[DigitBounds, ...]:
         return tuple(entry for entry in self.entries if not entry.within)
+
+
+def _location(n: int, k: int, kind: str, radix: int) -> int:
+    """Where the k-th extremum of digit n's frequency sits.
+
+    A minimum at m = n*N^k - 1, just before the width-N^k block of
+    integers led by n opens; a maximum at m = (n+1)*N^k - 1, where that
+    block closes.
+    """
+    first = n if kind == KIND_MIN else n + 1
+    return first * radix**k - 1
 
 
 def _check_capacity(quantity: int, context: str) -> int:
@@ -185,10 +189,11 @@ def extremal_frequency(
 ) -> ExtremalFrequency:
     """Exact value and location of the k-th successive extremum.
 
-    The value is the telescoped geometric-series closed form
+    With m the location from _location, the value is the telescoped
+    geometric-series closed form
 
-        min: (N^k - 1) / ((N-1) (n N^k - 1))
-        max: (N^(k+1) - 1) / ((N-1) ((n+1) N^k - 1))
+        min: (N^k - 1) / ((N-1) m)
+        max: (N^(k+1) - 1) / ((N-1) m)
 
     of the ratio of digit-string sums at the location: a width-k run of
     ones over the all-(N-1) tail that precedes the next block of leading
@@ -206,25 +211,23 @@ def extremal_frequency(
     # of any size.  Past k = 63 every location exceeds the cap.
     if k > 63:
         raise CapacityError(f"{context}: {radix}**{k} exceeds 2**63 - 1")
-    power = radix**k
-    if kind == KIND_MIN:
-        location = _check_capacity(d.value * power - 1, context)
-        closed = Fraction(power - 1, (radix - 1) * (d.value * power - 1))
-    else:
-        location = _check_capacity((d.value + 1) * power - 1, context)
-        closed = Fraction(radix * power - 1, (radix - 1) * ((d.value + 1) * power - 1))
+    location = _check_capacity(_location(d.value, k, kind, radix), context)
+    width = k if kind == KIND_MIN else k + 1
+    closed = Fraction(radix**width - 1, (radix - 1) * location)
     return ExtremalFrequency(d, k, kind, closed, location)
 
 
 def arithmetic_mean_distribution(base: Base | int = 10) -> DigitDistribution:
     """Normalized arithmetic mean of the two limit frequencies.
 
-    P(n) is proportional to N/(n+1) + 1/n; weights are kept rational and
-    rounded only on output.
+    P(n) is proportional to f_min(n) + f_max(n) of limit_frequency;
+    weights are kept rational and rounded only on output.
     """
     b = as_base(base)
-    radix = b.value
-    weights = [Fraction(radix, n + 1) + Fraction(1, n) for n in range(1, radix)]
+    weights = [
+        limit_frequency(n, KIND_MIN, b) + limit_frequency(n, KIND_MAX, b)
+        for n in range(1, b.value)
+    ]
     total = sum(weights)
     probs = tuple(float(w / total) for w in weights)
     return DigitDistribution(b, probs, LABEL_ARITH)
@@ -275,8 +278,8 @@ def extremum_locations(
 ) -> tuple[tuple[int, int], ...]:
     """Locations (m_min, m_max) of the first k_max successive extrema.
 
-    m_min = n*N^k - 1 and m_max = (n+1)*N^k - 1 for k = 1..k_max.  Base 2
-    has a constant frequency of 1, hence no extrema: the result is empty.
+    The pairs come from _location for k = 1..k_max.  Base 2 has a constant
+    frequency of 1, hence no extrema: the result is empty.
     """
     b = as_base(base)
     d = as_digit(n, b)
@@ -288,30 +291,27 @@ def extremum_locations(
     context = f"extremum_locations(n={d.value}, k_max={k_max}, base={radix})"
     if k_max > 63:
         raise CapacityError(f"{context}: {radix}**{k_max} exceeds 2**63 - 1")
-    _check_capacity((d.value + 1) * radix**k_max - 1, context)
-    locations = []
-    power = 1
-    for _ in range(k_max):
-        power *= radix
-        locations.append((d.value * power - 1, (d.value + 1) * power - 1))
-    return tuple(locations)
+    _check_capacity(_location(d.value, k_max, KIND_MAX, radix), context)
+    return tuple(
+        tuple(_location(d.value, k, kind, radix) for kind in (KIND_MIN, KIND_MAX))
+        for k in range(1, k_max + 1)
+    )
 
 
 def bounds_check(dist: DigitDistribution) -> BoundsReport:
-    """Sandwich test 1/((N-1) n) <= P(n) <= N/((N-1) (n+1)) per digit.
+    """Sandwich test f_min(n) <= P(n) <= f_max(n) per digit.
 
-    Any first-digit probability over a restricted range must respect
-    these limits even where the logarithmic law itself breaks down.
+    The bounds come from limit_frequency.  Any first-digit probability
+    over a restricted range must respect these limits even where the
+    logarithmic law itself breaks down.
     Probabilities are floats, so containment is judged against the
     float-rounded bounds: a probability equal to a bound's nearest float
     counts as within.
     """
-    radix = dist.base.value
     entries = []
-    for n in range(1, radix):
-        lower = Fraction(1, (radix - 1) * n)
-        upper = Fraction(radix, (radix - 1) * (n + 1))
-        p = dist.probabilities[n - 1]
+    for n, p in enumerate(dist.probabilities, start=1):
+        lower = limit_frequency(n, KIND_MIN, dist.base)
+        upper = limit_frequency(n, KIND_MAX, dist.base)
         within = float(lower) <= p <= float(upper)
         entries.append(DigitBounds(n, lower, p, upper, within))
-    return BoundsReport(dist.base, tuple(entries))
+    return BoundsReport(tuple(entries))

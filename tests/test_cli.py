@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import math
+import operator
 import os
 import shutil
 import subprocess
@@ -217,6 +219,58 @@ def test_streamed_sweep_json_is_the_encoder_text_of_the_whole_report(data):
     }
     expected = json.dumps(materialised, indent=2, sort_keys=True) + "\n"
     assert out.getvalue() == expected
+
+
+def brute_counts(n, radix, m_top):
+    """counts[m] = how many of 1..m lead with digit n, for m = 0..m_top.
+
+    Leading digits come from repeated integer division, with nothing
+    taken from digitlaw.
+    """
+    counts = [0]
+    for i in range(1, m_top + 1):
+        while i >= radix:
+            i //= radix
+        counts.append(counts[-1] + (i == n))
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sweep_json_agrees_with_brute_force_enumeration(data):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    n = data.draw(st.integers(1, radix - 1), label="n")
+    m_max = data.draw(st.integers(1, 1500), label="m_max")
+    argv = ["sweep", "--digit", str(n), "--m-max", str(m_max), "--base", str(radix)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outcome = execute(argv + ["--output", "json"])
+    assert outcome.exit_code == EXIT_OK
+    (series,) = json.loads(out.getvalue())["result"]["series"]
+    counts = brute_counts(n, radix, m_max + 1)
+
+    def ratio(m):
+        g = math.gcd(counts[m], m)
+        return {"num": counts[m] // g, "den": m // g, "value": counts[m] / m}
+
+    assert series["points"] == [
+        {"m": m, "count": counts[m], **ratio(m)} for m in range(1, m_max + 1)
+    ]
+    extrema = (("minima", n, operator.lt), ("maxima", n + 1, operator.gt))
+    for kind, first, beats in extrema:
+        # the paper's locations first*N^k - 1, k >= 1; base 2 has none
+        expected = []
+        k = 1
+        while radix > 2 and first * radix**k - 1 <= m_max:
+            expected.append((k, first * radix**k - 1))
+            k += 1
+        assert [(e["k"], e["m"]) for e in series[kind]] == expected
+        for entry in series[kind]:
+            m = entry["m"]
+            assert {key: entry[key] for key in ("num", "den", "value")} == ratio(m)
+            here = Fraction(counts[m], m)
+            assert beats(here, Fraction(counts[m - 1], m - 1))
+            assert beats(here, Fraction(counts[m + 1], m + 1))
 
 
 def test_an_empty_point_series_prints_as_the_encoder_prints_it():
@@ -448,6 +502,16 @@ def test_bounds_mass_violation_is_a_runtime_error(capsys):
     err = capsys.readouterr().err
     assert outcome.exit_code == EXIT_FAILURE
     assert "sum" in err
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_bounds_nan_probability_is_a_runtime_error(output, capsys):
+    argv = ["bounds", "--base", "3", "--probs", "nan,0.5", "--output", output]
+    outcome = execute(argv)
+    captured = capsys.readouterr()
+    assert outcome.exit_code == EXIT_FAILURE
+    assert captured.err == "digitlaw: probabilities must lie in [0, 1]\n"
+    assert captured.out == ""
 
 
 def test_bounds_base_two(capsys):

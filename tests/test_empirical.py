@@ -159,34 +159,55 @@ def test_merge_rejects_nothing_and_mixed_bases():
         merge([tally([1], 10), tally([1], 16)])
 
 
+def summary_of(counts, *, total_read, skipped_zero=0, skipped_nonfinite=0):
+    return SampleSummary(
+        base=Base(10),
+        counts=counts,
+        total_read=total_read,
+        skipped_zero=skipped_zero,
+        skipped_nonfinite=skipped_nonfinite,
+    )
+
+
 def test_summary_invariants_are_enforced():
-    b = Base(10)
     with pytest.raises(UsageError):
-        SampleSummary(b, (1, 2), 3, 3, 0, 0)  # wrong width
+        summary_of((1, 2), total_read=3)  # wrong width
     with pytest.raises(UsageError):
-        SampleSummary(b, (1,) * 9, 9, 8, 0, 0)  # used != sum
+        # total off by one
+        summary_of((1,) * 9, total_read=12, skipped_zero=1, skipped_nonfinite=1)
     with pytest.raises(UsageError):
-        SampleSummary(b, (1,) * 9, 12, 9, 1, 1)  # total off by one
+        summary_of((1,) * 9, total_read=10)  # a value read but never counted
     with pytest.raises(UsageError):
-        SampleSummary(b, (-1,) + (1,) * 8, 7, 7, 0, 0)
+        summary_of((-1,) + (1,) * 8, total_read=7)
+
+
+def test_summary_used_is_derived_from_counts():
+    assert summary_of((1,) * 9, total_read=12, skipped_zero=2, skipped_nonfinite=1).used == 9
+    with pytest.raises(TypeError):
+        SampleSummary(
+            base=Base(10),
+            counts=(1,) * 9,
+            total_read=9,
+            used=9,
+            skipped_zero=0,
+            skipped_nonfinite=0,
+        )
 
 
 def test_empirical_distribution_reference_fraction():
     counts = (11, 1, 1, 1, 1, 1, 1, 1, 1)
-    summary = SampleSummary(Base(10), counts, 19, 19, 0, 0)
-    dist = empirical_distribution(summary)
+    dist = empirical_distribution(summary_of(counts, total_read=19))
     assert dist.probabilities[0] == float(Fraction(11, 19))
     assert dist.label == "empirical"
 
 
 def test_empirical_distribution_single_digit_sample():
-    summary = SampleSummary(Base(10), (0, 0, 0, 0, 5, 0, 0, 0, 0), 5, 5, 0, 0)
-    dist = empirical_distribution(summary)
+    dist = empirical_distribution(summary_of((0, 0, 0, 0, 5, 0, 0, 0, 0), total_read=5))
     assert dist.probabilities == (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_empirical_distribution_refuses_empty_samples():
-    empty = SampleSummary(Base(10), (0,) * 9, 3, 0, 2, 1)
+    empty = summary_of((0,) * 9, total_read=3, skipped_zero=2, skipped_nonfinite=1)
     with pytest.raises(EmptySampleError):
         empirical_distribution(empty)
     with pytest.raises(EmptySampleError):

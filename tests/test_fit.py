@@ -43,6 +43,18 @@ def textbook_chi_square(counts, used, probs):
     )
 
 
+def full_sample(counts):
+    """A base-10 summary in which every value read contributed a digit."""
+    counts = tuple(counts)
+    return SampleSummary(
+        base=Base(10),
+        counts=counts,
+        total_read=sum(counts),
+        skipped_zero=0,
+        skipped_nonfinite=0,
+    )
+
+
 def random_distribution(rng, base=10):
     weights = [rng.uniform(0.05, 1.0) for _ in range(base - 1)]
     total = math.fsum(weights)
@@ -110,7 +122,7 @@ def test_pearson_stays_inside_unit_interval():
 
 
 def test_chi_square_is_zero_for_a_perfectly_proportional_sample():
-    summary = SampleSummary(Base(10), (1,) * 9, 9, 9, 0, 0)
+    summary = full_sample((1,) * 9)
     uniform = DigitDistribution(Base(10), tuple([1 / 9] * 9))
     statistic, dof = chi_square(summary, uniform)
     assert statistic == 0.0
@@ -129,15 +141,14 @@ def test_chi_square_self_fit_residue_is_negligible_in_general():
     rng = random.Random(605)
     for _ in range(100):
         counts = tuple(rng.randrange(1, 500) for _ in range(9))
-        used = sum(counts)
-        summary = SampleSummary(Base(10), counts, used, used, 0, 0)
+        summary = full_sample(counts)
         statistic, _ = chi_square(summary, empirical_distribution(summary))
         assert statistic < 1e-20
 
 
 def test_chi_square_matches_textbook_evaluation():
     counts = tuple(leading_digit_count(n, 999) for n in range(1, 10))
-    summary = SampleSummary(Base(10), counts, 999, 999, 0, 0)
+    summary = full_sample(counts)
     for candidate in (benford(10), geometric_mean_distribution(10)):
         statistic, dof = chi_square(summary, candidate)
         expected = textbook_chi_square(counts, 999, candidate.probabilities)
@@ -146,10 +157,10 @@ def test_chi_square_matches_textbook_evaluation():
 
 
 def test_chi_square_rejects_empty_samples_and_zero_expectations():
-    empty = SampleSummary(Base(10), (0,) * 9, 0, 0, 0, 0)
+    empty = full_sample((0,) * 9)
     with pytest.raises(EmptySampleError):
         chi_square(empty, benford(10))
-    summary = SampleSummary(Base(10), (1,) * 9, 9, 9, 0, 0)
+    summary = full_sample((1,) * 9)
     with_zero = DigitDistribution(Base(10), (0.2, 0.2, 0.2, 0.2, 0.2, 0, 0, 0, 0))
     with pytest.raises(DegenerateExpectationError):
         chi_square(summary, with_zero)
@@ -250,14 +261,14 @@ def test_compare_rejects_bad_inputs():
         compare(summary, [])
     with pytest.raises(UsageError):
         compare(summary, [benford(16)])
-    empty = SampleSummary(Base(10), (0,) * 9, 0, 0, 0, 0)
+    empty = full_sample((0,) * 9)
     with pytest.raises(EmptySampleError):
         compare(empty, [benford(10)])
 
 
 def test_compare_propagates_degenerate_statistics():
     # a perfectly uniform sample has zero variance across digits
-    uniform_sample = SampleSummary(Base(10), (7,) * 9, 63, 63, 0, 0)
+    uniform_sample = full_sample((7,) * 9)
     with pytest.raises(UndefinedCorrelationError):
         compare(uniform_sample, [benford(10)])
     base2 = tally([1, 2, 3], 2)
@@ -268,15 +279,12 @@ def test_compare_propagates_degenerate_statistics():
 def test_compare_statistics_are_permutation_covariant():
     rng = random.Random(607)
     counts = tuple(rng.randrange(5, 300) for _ in range(9))
-    used = sum(counts)
-    summary = SampleSummary(Base(10), counts, used, used, 0, 0)
+    summary = full_sample(counts)
     candidate = random_distribution(rng)
     baseline = compare(summary, [candidate]).entries[0]
     order = list(range(9))
     rng.shuffle(order)
-    permuted_summary = SampleSummary(
-        Base(10), tuple(counts[i] for i in order), used, used, 0, 0
-    )
+    permuted_summary = full_sample(counts[i] for i in order)
     permuted_candidate = DigitDistribution(
         Base(10), tuple(candidate.probabilities[i] for i in order)
     )

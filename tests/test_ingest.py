@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from digitlaw.digits import NUMERAL_RE, leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
 from digitlaw.empirical import tally
-from digitlaw.ingest import Diagnostic, InputSpec, read_numerals
+from digitlaw.ingest import COMMENT_PREFIX, Diagnostic, InputSpec, read_numerals
 
 
 def parse(spec, text):
@@ -33,7 +33,7 @@ def test_input_spec_defaults():
     assert spec.format == "plain"
     assert spec.delimiter == ","
     assert spec.column == 1
-    assert spec.comment_prefix == "#"
+    assert COMMENT_PREFIX == "#"
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,6 @@ def test_input_spec_defaults():
         {"delimiter": "."},
         {"delimiter": "\t"},
         {"format": "delimited", "column": 0},
-        {"comment_prefix": ""},
     ],
 )
 def test_input_spec_rejects_bad_configuration(kwargs):

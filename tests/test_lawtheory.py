@@ -453,6 +453,13 @@ def test_distribution_rejects_wrong_shape_and_mass():
         DigitDistribution(Base(10), tuple([0.1] * 9))  # sums to 0.9
 
 
+def test_distribution_rejects_nan_probabilities():
+    # NaN fails every comparison, so it must be caught by one that passes
+    for probs in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            DigitDistribution(Base(3), probs)
+
+
 def test_law_labels_enforce_strict_decrease():
     increasing = tuple(n / 45 for n in range(1, 10))
     with pytest.raises(DomainError):
