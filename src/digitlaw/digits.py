@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError, UsageError
 
 MIN_BASE = 2
+# Capped so that every digit of every base has one character in 0-9A-Z.
 MAX_BASE = 36
-
-# Digits render as 0-9A-Z; MAX_BASE is capped so every digit has a
-# printable character.
-DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # Optional sign, ASCII digits 0-9 with at most one decimal point (digits
 # required on at least one side), optional e/E exponent with optional
@@ -55,12 +52,6 @@ class Base:
                 f"base must be in [{MIN_BASE}, {MAX_BASE}], got {self.value}"
             )
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Digit:
@@ -77,17 +68,6 @@ class Digit:
                 f"digit must be in [1, {self.base.value - 1}] "
                 f"for base {self.base.value}, got {self.value}"
             )
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-    @property
-    def char(self) -> str:
-        """The digit's printable character (0-9A-Z)."""
-        return DIGIT_ALPHABET[self.value]
 
 
 def as_base(base: Base | int) -> Base:

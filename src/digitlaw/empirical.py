@@ -57,9 +57,6 @@ class SampleSummary:
     def used(self) -> int:
         return sum(self.counts)
 
-    def count(self, n: int) -> int:
-        return self.counts[n - 1]
-
 
 def tally(
     values: Iterable[float | str],
@@ -145,24 +142,24 @@ def merge(summaries: Sequence[SampleSummary]) -> SampleSummary:
     )
 
 
-def empirical_distribution(summary: SampleSummary) -> DigitDistribution:
-    """Observed first-digit probabilities counts/used.
+def empirical_fractions(summary: SampleSummary) -> tuple[Fraction, ...]:
+    """Exact per-digit frequencies count/used, in lowest terms.
 
-    The underlying fractions count/used sum to 1 exactly; the stored
-    floats are their nearest doubles.  Raises EmptySampleError when no
-    value contributed a digit, rather than fabricating a distribution.
+    Raises EmptySampleError when no value contributed a digit.
     """
     if summary.used < 1:
         raise EmptySampleError(
             f"no usable values in sample {summary.source!r} "
             f"(read {summary.total_read}, all skipped)"
         )
-    probs = tuple(float(Fraction(c, summary.used)) for c in summary.counts)
-    return DigitDistribution(summary.base, probs, LABEL_EMPIRICAL)
-
-
-def empirical_fractions(summary: SampleSummary) -> tuple[Fraction, ...]:
-    """Exact per-digit frequencies count/used, in lowest terms."""
-    if summary.used < 1:
-        raise EmptySampleError("no usable values in sample")
     return tuple(Fraction(c, summary.used) for c in summary.counts)
+
+
+def empirical_distribution(summary: SampleSummary) -> DigitDistribution:
+    """Observed first-digit probabilities counts/used.
+
+    The fractions of empirical_fractions sum to 1 exactly; the stored
+    floats are their nearest doubles.
+    """
+    probs = tuple(float(f) for f in empirical_fractions(summary))
+    return DigitDistribution(summary.base, probs, LABEL_EMPIRICAL)

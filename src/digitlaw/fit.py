@@ -60,11 +60,11 @@ class FitReport:
     best_by_r: str
 
 
-def _require_same_base(a: DigitDistribution, b: DigitDistribution) -> None:
+def _require_same_base(
+    a: DigitDistribution | SampleSummary, b: DigitDistribution
+) -> None:
     if a.base != b.base:
-        raise UsageError(
-            f"distributions use different bases: {a.base.value} vs {b.base.value}"
-        )
+        raise UsageError(f"bases differ: {a.base.value} vs {b.base.value}")
 
 
 def pearson_r(emp: DigitDistribution, theo: DigitDistribution) -> float:
@@ -95,10 +95,7 @@ def chi_square(summary: SampleSummary, theo: DigitDistribution) -> tuple[float, 
     Returns (sum over n of (observed - used*P(n))^2 / (used*P(n)),
     N - 2).  Every expected count must be positive.
     """
-    if summary.base != theo.base:
-        raise UsageError(
-            f"sample base {summary.base.value} != candidate base {theo.base.value}"
-        )
+    _require_same_base(summary, theo)
     used = summary.used
     if used < 1:
         raise EmptySampleError("chi_square needs at least one usable value")

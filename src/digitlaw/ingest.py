@@ -26,6 +26,7 @@ later field.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -65,8 +66,9 @@ class InputSpec:
             raise DomainError(
                 "delimiter cannot be a digit, sign, or decimal point"
             )
-        if self.format == FORMAT_DELIMITED and self.column < 1:
-            raise DomainError(f"column index is 1-based, got {self.column}")
+        column = self.column
+        if not isinstance(column, int) or isinstance(column, bool) or column < 1:
+            raise DomainError(f"column index is a 1-based int, got {column!r}")
 
 
 @dataclass(frozen=True)
@@ -77,20 +79,15 @@ class Diagnostic:
     message: str
 
 
-def _iter_lines(stream: str | Iterable[str]) -> Iterable[str]:
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return stream
-
-
 def read_numerals(
     spec: InputSpec, stream: str | Iterable[str], diagnostics: list[Diagnostic]
 ) -> Iterator[str]:
     """Yield the token of each numeral of a text stream, in order.
 
     Every token yielded fullmatches NUMERAL_RE; it is not converted.  The
-    stream is a string or any iterable of lines (an open text file works);
-    lines are read only as values are asked for.  Lines whose first
+    stream is any iterable of lines (an open text file works) or a string,
+    which is split as a text file is read: at LF, CR and CRLF only.
+    Lines are read only as values are asked for.  Lines whose first
     non-blank characters are COMMENT_PREFIX are skipped outright.
     Every malformed or missing field appends one Diagnostic to the
     caller's list instead of raising.  A delimited stream whose requested
@@ -98,9 +95,11 @@ def read_numerals(
     stream is exhausted, since that is a wrong-shape file rather than
     scattered bad fields.
     """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream, newline=None)
     data_lines = 0
     column_hits = 0
-    for line_no, raw in enumerate(_iter_lines(stream), start=1):
+    for line_no, raw in enumerate(stream, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIX):
             continue

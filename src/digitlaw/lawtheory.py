@@ -76,14 +76,6 @@ class DigitDistribution:
                     f"{self.label} probabilities must decrease strictly in n"
                 )
 
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(range(1, self.base.value))
-
-    def probability(self, n: Digit | int) -> float:
-        d = as_digit(n, self.base)
-        return self.probabilities[d.value - 1]
-
 
 @dataclass(frozen=True)
 class ExtremalFrequency:
@@ -102,7 +94,7 @@ class ExtremalFrequency:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_MIN, KIND_MAX):
             raise DomainError(f"kind must be 'min' or 'max', got {self.kind!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise DomainError(f"k must be a positive integer, got {self.k!r}")
         if not 0 < self.value <= 1:
             raise DomainError(f"extremal frequency {self.value} outside (0, 1]")
@@ -134,10 +126,6 @@ class BoundsReport:
     @property
     def all_within(self) -> bool:
         return all(entry.within for entry in self.entries)
-
-    @property
-    def violations(self) -> tuple[DigitBounds, ...]:
-        return tuple(entry for entry in self.entries if not entry.within)
 
 
 def _location(n: int, k: int, kind: str, radix: int) -> int:

@@ -48,6 +48,9 @@ def test_input_spec_defaults():
         {"delimiter": "."},
         {"delimiter": "\t"},
         {"format": "delimited", "column": 0},
+        {"format": "delimited", "column": 2.0},
+        {"format": "delimited", "column": "2"},
+        {"format": "delimited", "column": True},
     ],
 )
 def test_input_spec_rejects_bad_configuration(kwargs):
@@ -173,6 +176,29 @@ def test_stream_and_string_inputs_agree():
     spec = InputSpec()
     assert parse(spec, text) == parse(spec, io.StringIO(text))
     assert parse(spec, text) == parse(spec, ["1 2\n", "# c\n", "3"])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InputSpec(),
+        InputSpec(format="delimited", column=2),
+        InputSpec(format="spectrum2col"),
+    ],
+)
+def test_string_lines_break_where_file_lines_do(spec, tmp_path):
+    # \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029 end a line for
+    # str.splitlines() but not for a text file; \r and \r\n end both
+    text = (
+        "1,2\x0b3,4\x0c5,6\n7,8\x1c9,1\x1d2,3\r4,5\x1e6,7\x85x,y\r\n"
+        "8 9\u20281 2\u20293,4\n1,2\x0c3,4\n5,6\nz\n"
+    )
+    path = tmp_path / "lines.txt"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with open(path, encoding="utf-8") as handle:
+        from_file = parse(spec, handle)
+    assert parse(spec, text) == from_file
 
 
 def test_parsing_is_deterministic():

@@ -200,6 +200,9 @@ def test_extremal_record_validates_its_own_consistency():
         ExtremalFrequency(
             Digit(1, Base(10)), 2, KIND_MIN, Fraction(1, 9), location_m=5
         )
+    # a bool k lands on the k=1 location, so only the type check stops it
+    with pytest.raises(DomainError):
+        ExtremalFrequency(Digit(1, Base(10)), True, KIND_MIN, Fraction(1, 9), 9)
 
 
 # ------------------------------------------------------------- limits
@@ -405,7 +408,7 @@ def test_bounds_pass_for_all_three_laws_in_small_bases():
             report = bounds_check(law(base))
             assert isinstance(report, BoundsReport)
             assert report.all_within
-            assert report.violations == ()
+            assert all(entry.within for entry in report.entries)
 
 
 def test_bounds_formulas_per_digit():
@@ -431,7 +434,7 @@ def test_overweighted_digit_one_violates_the_upper_bound():
     assert not report.all_within
     assert not report.entries[0].within
     assert report.entries[0].upper == Fraction(10, 18)
-    assert any(v.digit == 1 for v in report.violations)
+    assert any(e.digit == 1 and not e.within for e in report.entries)
 
 
 def test_base_two_bounds_collapse_to_certainty():
@@ -467,10 +470,3 @@ def test_law_labels_enforce_strict_decrease():
     # the same shape is fine without a law label
     DigitDistribution(Base(10), increasing, "custom")
     DigitDistribution(Base(10), increasing, "empirical")
-
-
-def test_distribution_probability_lookup():
-    dist = benford(10)
-    assert dist.probability(1) == dist.probabilities[0]
-    assert dist.probability(9) == dist.probabilities[8]
-    assert dist.digits == tuple(range(1, 10))
