@@ -14,6 +14,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, ParseError, UsageError
 
@@ -31,11 +32,6 @@ NUMERAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 # The index into a base-10 count list of each nonzero ASCII digit.
 DECIMAL_INDEX = {c: i for i, c in enumerate("123456789")}
-
-# A scaled value this close under the radix is taken to be the radix
-# itself, reached through float rounding, and carries to digit 1 of the
-# next power.  Guards cases like 1000 * 0.001 landing a hair below 1.
-_CARRY_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -114,29 +110,43 @@ def leading_digit_int(m: int, base: Base | int = 10) -> Digit:
     return _digits(radix)[m]
 
 
+@functools.cache
+def float_digit_rule(radix: int) -> Callable[[float], int]:
+    """The float leading-digit rule of a radix, built once per radix.
+
+    The function returned maps a positive finite float, unchecked, to its
+    first digit's value: scaled into [1, radix) by repeated multiplication
+    or division by the radix, then floored.  A result within 4 ulps under
+    the radix is taken to be the radix itself, reached through float
+    rounding (1000 * 0.001 lands a hair below 1), and carries to digit 1.
+    """
+    n = float(radix)
+    carry = n - 4.0 * math.ulp(n)
+
+    def digit(s: float) -> int:
+        while s < 1.0:
+            s *= n
+        while s >= n:
+            s /= n
+        return 1 if s >= carry else int(s)
+
+    return digit
+
+
 def leading_digit_real(x: float, base: Base | int = 10) -> Digit:
     """First significant digit of a nonzero finite real in the base.
 
-    |x| is scaled into [1, base) by repeated multiplication or division by
-    the radix, then read off with floor.  A result within a few ulps under
-    the radix is treated as the radix itself (a float-rounding artifact)
-    and carries over to digit 1.
+    |x| is read by float_digit_rule(base): scaled into [1, base) by the
+    radix, carried to digit 1 within a few ulps under the radix.
     """
     b = as_base(base)
     try:
         s = abs(float(x))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"not a real number: {x!r}") from exc
-    if s == 0.0 or math.isinf(s) or math.isnan(s):
+    if s == 0.0 or not math.isfinite(s):
         raise DomainError(f"leading digit undefined for {x!r}")
-    radix = float(b.value)
-    while s < 1.0:
-        s *= radix
-    while s >= radix:
-        s /= radix
-    if radix - s <= _CARRY_ULPS * math.ulp(radix):
-        return _digits(b.value)[1]
-    return _digits(b.value)[int(s)]
+    return _digits(b.value)[float_digit_rule(b.value)(s)]
 
 
 def leading_digit_text(token: str) -> Digit | None:

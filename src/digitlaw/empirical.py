@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digits import DECIMAL_INDEX, Base, as_base, leading_digit_int, leading_digit_real
+from .digits import DECIMAL_INDEX, Base, as_base, float_digit_rule, leading_digit_int
 from .errors import EmptySampleError, UsageError
 from .lawtheory import LABEL_EMPIRICAL, DigitDistribution
 
@@ -72,8 +72,9 @@ def tally(
     item.lstrip("+-0."), when that is 1-9, so the counted digit is the
     printed one, even for a numeral beyond double range such as 1e400.  A
     string with no nonzero digit there, and any string in another base, is
-    converted with float() once and counted by its value.  Integers are
-    read exactly, other values as floats.  Sign is ignored.  Zeros and
+    converted with float() once and counted by its value, by
+    digits.float_digit_rule as in leading_digit_real.  Integers are read
+    exactly, other values as floats.  Sign is ignored.  Zeros and
     non-finite values are skipped and tallied as such.  A value that
     float() rejects, such as the bare string "abc", raises its ValueError
     or TypeError, and whatever the stream raises passes through:
@@ -84,6 +85,7 @@ def tally(
     b = as_base(base)
     counts = [0] * (b.value - 1)
     decimal_index = DECIMAL_INDEX.get if b.value == 10 else None
+    float_digit = float_digit_rule(b.value)
     total_read = 0
     skipped_zero = 0
     skipped_nonfinite = 0
@@ -101,13 +103,13 @@ def tally(
             else:
                 counts[leading_digit_int(abs(item), b).value - 1] += 1
             continue
-        numeric = float(item)
-        if math.isnan(numeric) or math.isinf(numeric):
+        numeric = abs(float(item))
+        if not math.isfinite(numeric):
             skipped_nonfinite += 1
         elif numeric == 0.0:
             skipped_zero += 1
         else:
-            counts[leading_digit_real(numeric, b).value - 1] += 1
+            counts[float_digit(numeric) - 1] += 1
     return SampleSummary(
         base=b,
         counts=tuple(counts),

@@ -57,12 +57,14 @@ class InputSpec:
             raise DomainError(
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
             )
-        if len(self.delimiter) != 1 or not self.delimiter.isprintable():
+        delimiter = self.delimiter
+        one_char = isinstance(delimiter, str) and len(delimiter) == 1
+        if not one_char or not delimiter.isprintable():
             raise DomainError(
                 f"delimiter must be a single printable character, "
-                f"got {self.delimiter!r}"
+                f"got {delimiter!r}"
             )
-        if self.delimiter in _DELIMITER_FORBIDDEN:
+        if delimiter in _DELIMITER_FORBIDDEN:
             raise DomainError(
                 "delimiter cannot be a digit, sign, or decimal point"
             )

@@ -92,10 +92,8 @@ class ExtremalFrequency:
     location_m: int
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_MIN, KIND_MAX):
-            raise DomainError(f"kind must be 'min' or 'max', got {self.kind!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise DomainError(f"k must be a positive integer, got {self.k!r}")
+        _require_kind(self.kind)
+        _require_positive("k", self.k)
         if not 0 < self.value <= 1:
             raise DomainError(f"extremal frequency {self.value} outside (0, 1]")
         radix = self.digit.base.value
@@ -139,6 +137,16 @@ def _location(n: int, k: int, kind: str, radix: int) -> int:
     return first * radix**k - 1
 
 
+def _require_kind(kind: str) -> None:
+    if kind not in (KIND_MIN, KIND_MAX):
+        raise DomainError(f"kind must be 'min' or 'max', got {kind!r}")
+
+
+def _require_positive(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_capacity(quantity: int, context: str) -> int:
     if quantity > INT_CAPACITY:
         raise CapacityError(f"{context}: {quantity} exceeds 2**63 - 1")
@@ -164,12 +172,11 @@ def limit_frequency(n: Digit | int, kind: str, base: Base | int = 10) -> Fractio
     """
     b = as_base(base)
     d = as_digit(n, b)
+    _require_kind(kind)
     radix = b.value
     if kind == KIND_MIN:
         return Fraction(1, (radix - 1) * d.value)
-    if kind == KIND_MAX:
-        return Fraction(radix, (radix - 1) * (d.value + 1))
-    raise DomainError(f"kind must be 'min' or 'max', got {kind!r}")
+    return Fraction(radix, (radix - 1) * (d.value + 1))
 
 
 def extremal_frequency(
@@ -189,10 +196,8 @@ def extremal_frequency(
     """
     b = as_base(base)
     d = as_digit(n, b)
-    if kind not in (KIND_MIN, KIND_MAX):
-        raise DomainError(f"kind must be 'min' or 'max', got {kind!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    _require_kind(kind)
+    _require_positive("k", k)
     radix = b.value
     context = f"extremal_frequency(n={d.value}, k={k}, kind={kind}, base={radix})"
     # Only the location is capped; the closed form's terms are exact ints
@@ -241,8 +246,7 @@ def leading_digit_count(n: Digit | int, m: int, base: Base | int = 10) -> int:
     """
     b = as_base(base)
     d = as_digit(n, b)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    _require_positive("m", m)
     radix = b.value
     _check_capacity(m, f"leading_digit_count(n={d.value}, m={m}, base={radix})")
     count = 0
@@ -271,8 +275,7 @@ def extremum_locations(
     """
     b = as_base(base)
     d = as_digit(n, b)
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
+    _require_positive("k_max", k_max)
     if b.value == 2:
         return ()
     radix = b.value

@@ -101,6 +101,18 @@ CASES: list[tuple[str, list[str], str | None]] = [
         ["analyze", "--input", "inputs/zeros.txt", "--base", "16"],
         None,
     ),
+    # doubles just under radix powers, which the float rule carries to
+    # digit 1, in two bases whose division is inexact
+    (
+        "analyze-radix7.table",
+        ["analyze", "--input", "inputs/radix7.txt", "--base", "7"],
+        None,
+    ),
+    (
+        "analyze-radix36.table",
+        ["analyze", "--input", "inputs/radix36.txt", "--base", "36"],
+        None,
+    ),
     ("bounds-probs-count", ["bounds", "--probs", "0.5,0.5"], None),
     ("analyze-missing-input", ["analyze", "--input", "inputs/no-such-file.txt"], None),
     (

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from digitlaw.digits import Base
+from digitlaw.digits import Base, leading_digit_real
 from digitlaw.empirical import (
     SampleSummary,
     empirical_distribution,
@@ -239,3 +241,48 @@ def test_tally_in_other_bases():
         assert summary.counts[n - 1] == leading_digit_count(n, 2000, 16)
     binary = tally(range(1, 101), 2)
     assert binary.counts == (100,)
+
+
+def float_rule_digit(x: float, radix: int) -> int:
+    """The float leading-digit rule, written out here as the oracle.
+
+    Scale |x| into [1, radix) by repeated multiplication or division by
+    the radix; a result within 4 ulps under the radix carries to digit 1.
+    """
+    s, n = abs(x), float(radix)
+    while s < 1.0:
+        s *= n
+    while s >= n:
+        s /= n
+    return 1 if n - s <= 4 * math.ulp(n) else int(s)
+
+
+@st.composite
+def radix_power_neighbours(draw, radix):
+    """A double a few steps from float(radix)**k, often in the carry band."""
+    bits = math.log2(radix)
+    power = float(radix) ** draw(st.integers(int(-1074 / bits), int(1023 / bits)))
+    steps = draw(st.integers(-8, 8))
+    x = power
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, 0.0 if steps < 0 else math.inf)
+    assume(0.0 < x < math.inf)
+    return -x if draw(st.booleans()) else x
+
+
+@st.composite
+def radix_and_double(draw):
+    radix = draw(st.integers(2, 36))
+    free = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    return radix, draw(free | radix_power_neighbours(radix))
+
+
+@given(radix_and_double())
+def test_float_route_of_tally_and_extractor_follow_the_float_rule(case):
+    radix, x = case
+    expected = float_rule_digit(x, radix)
+    one_hot = tuple(int(n == expected) for n in range(1, radix))
+    assert leading_digit_real(x, radix).value == expected
+    assert tally([x], radix).counts == one_hot
+    if radix != 10:  # base 10 reads a string's printed digit instead
+        assert tally([repr(x)], radix).counts == one_hot

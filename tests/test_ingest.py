@@ -51,6 +51,8 @@ def test_input_spec_defaults():
         {"format": "delimited", "column": 2.0},
         {"format": "delimited", "column": "2"},
         {"format": "delimited", "column": True},
+        {"delimiter": 5},
+        {"delimiter": None},
     ],
 )
 def test_input_spec_rejects_bad_configuration(kwargs):
