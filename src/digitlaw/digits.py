@@ -27,8 +27,14 @@ MAX_BASE = 36
 # sign.  No other Unicode digits, thousands separators or locale forms.
 # Under this grammar only sign, zeros and the point can precede the first
 # nonzero digit of the significand, so it is the first character of
-# token.lstrip("+-0.") when that character is 1-9.
-NUMERAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# token.lstrip("+-0.") when that character is 1-9.  The pattern must stay
+# unambiguous, matching a string in at most one way: a form such as
+# [0-9]+\.?[0-9]* can split a run of digits at any point, so rejecting a
+# long junk token takes time quadratic in its length, and exponential time
+# inside the repeated line patterns that ingest builds from this one.
+NUMERAL_RE = re.compile(
+    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+)
 
 # The index into a base-10 count list of each nonzero ASCII digit.
 DECIMAL_INDEX = {c: i for i, c in enumerate("123456789")}

@@ -18,15 +18,20 @@ re-deriving it from a float.
 The accepted numeral grammar (digits.NUMERAL_RE) is deliberately narrow:
 optional sign, ASCII digits 0-9 with at most one point, optional e/E
 exponent.  No other Unicode digits, no thousands separators, no locale
-decimal commas, no inf/nan words.  Each field is matched once, here, and
-nowhere else.  spectrum2col is a minimal stand-in for real instrument
+decimal commas, no inf/nan words.  Numerals are validated here and nowhere
+else: each data line is matched once by its format's line pattern, built
+from that grammar, and only a line the pattern rejects is split into
+fields and matched field by field, the one route that produces
+diagnostics.  spectrum2col is a minimal stand-in for real instrument
 formats (JCAMP-DX and friends are out of scope) and ignores any third or
 later field.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -81,6 +86,36 @@ class Diagnostic:
     message: str
 
 
+@functools.cache
+def _line_pattern(spec: InputSpec) -> re.Pattern[str]:
+    """The whole-line pattern of a spec, compiled on first use.
+
+    A raw line it fullmatches is one the per-field route reads without a
+    diagnostic: for plain, blank-separated numerals, the line's split();
+    otherwise a line whose chosen field, group 1, is a numeral.  Its only
+    blanks are ASCII space and tab, so a line with other whitespace, a CR,
+    a comment or a missing field misses and is left to that route.
+    """
+    num = f"(?:{NUMERAL_RE.pattern})"
+    if spec.format == FORMAT_PLAIN:
+        return re.compile(rf"[ \t]*{num}(?:[ \t]+{num})*[ \t]*\n?")
+    if spec.format == FORMAT_SPECTRUM2COL:
+        return re.compile(
+            rf"[ \t]*[^\s,#][^\s,]*[ \t,]+({num})(?:[\s,].*)?", re.S
+        )
+    if spec.delimiter in "eE":
+        # The only delimiters a numeral can contain: no line is taken whole.
+        return re.compile("(?!)")
+    d = re.escape(spec.delimiter)
+    # Padding that strip() removes, but never the delimiter itself.
+    blank = r"[\t]" if spec.delimiter == " " else r"[ \t]"
+    return re.compile(
+        rf"(?!\s*#)(?:[^{d}]*{d}){{{spec.column - 1}}}"
+        rf"{blank}*({num}){blank}*(?:{d}.*)?\n?",
+        re.S,
+    )
+
+
 def read_numerals(
     spec: InputSpec, stream: str | Iterable[str], diagnostics: list[Diagnostic]
 ) -> Iterator[str]:
@@ -89,8 +124,11 @@ def read_numerals(
     Every token yielded fullmatches NUMERAL_RE; it is not converted.  The
     stream is any iterable of lines (an open text file works) or a string,
     which is split as a text file is read: at LF, CR and CRLF only.
-    Lines are read only as values are asked for.  Lines whose first
-    non-blank characters are COMMENT_PREFIX are skipped outright.
+    Lines are read only as values are asked for.  Each line is matched
+    once by the spec's line pattern, and a hit yields its token(s) at
+    once; only a line the pattern rejects is split into fields, each
+    matched on its own.  Lines whose first non-blank characters are
+    COMMENT_PREFIX are skipped outright.
     Every malformed or missing field appends one Diagnostic to the
     caller's list instead of raising.  A delimited stream whose requested
     column is absent from every data line raises StructuralError once the
@@ -99,9 +137,20 @@ def read_numerals(
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
+    whole_line = _line_pattern(spec).fullmatch
+    plain = spec.format == FORMAT_PLAIN
     data_lines = 0
     column_hits = 0
     for line_no, raw in enumerate(stream, start=1):
+        hit = whole_line(raw)
+        if hit:
+            data_lines += 1
+            column_hits += 1
+            if plain:
+                yield from raw.split()
+            else:
+                yield hit[1]
+            continue
         stripped = raw.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIX):
             continue

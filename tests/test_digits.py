@@ -1,13 +1,17 @@
 """Leading-digit extraction checked against string-render oracles."""
 
+import itertools
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from digitlaw.digits import (
+    NUMERAL_RE,
     Base,
     Digit,
     as_base,
@@ -218,6 +222,36 @@ def test_leading_digit_text_all_zero_tokens_have_no_digit(token):
 def test_leading_digit_text_rejects_malformed_tokens(token):
     with pytest.raises(ParseError):
         leading_digit_text(token)
+
+
+# An ambiguous spelling of the numeral grammar, [0-9]+\.?[0-9]* splitting
+# a digit run anywhere: the same language as NUMERAL_RE, matched slowly.
+AMBIGUOUS_NUMERAL_RE = re.compile(
+    r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+)
+
+
+def test_numeral_grammar_accepts_the_language_of_its_ambiguous_form():
+    strings = [
+        "".join(chars)
+        for length in range(7)
+        for chars in itertools.product("01.e+-", repeat=length)
+    ]
+    assert len(strings) == 55_987
+    for text in strings:
+        assert bool(NUMERAL_RE.fullmatch(text)) == bool(
+            AMBIGUOUS_NUMERAL_RE.fullmatch(text)
+        ), text
+
+
+def test_a_long_junk_token_is_rejected_in_linear_time():
+    # 200,000 digits and a stray letter: the ambiguous grammar needs time
+    # quadratic in the length to give up on it
+    token = "1" * 200_000 + "x"
+    started = time.perf_counter()
+    with pytest.raises(ParseError):
+        leading_digit_text(token)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_text_and_real_extractors_agree_on_clean_tokens():

@@ -3,10 +3,11 @@
 import io
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from digitlaw.digits import NUMERAL_RE, leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
@@ -121,6 +122,25 @@ def test_delimited_missing_column_on_some_lines_is_diagnosed():
     assert values_of(records) == [2.0, 5.0]
     assert len(diagnostics) == 1 and diagnostics[0].line == 2
     assert "column 2 missing" in diagnostics[0].message
+
+
+def test_delimited_short_line_among_whole_line_hits_is_diagnosed():
+    # every line but the third is read by the line pattern alone
+    text = "a,1\nb, 2 ,x\nshort\nc,3.5\n"
+    records, diagnostics = parse(InputSpec(format="delimited", column=2), text)
+    assert values_of(records) == [1.0, 2.0, 3.5]
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (3, "line has 1 field(s), column 2 missing")
+    ]
+
+
+def test_delimited_structural_error_counts_every_data_line():
+    text = "1,2\n# comment\n\n \xa0# comment\n3,4\r\n5\n"
+    with pytest.raises(StructuralError) as caught:
+        parse(InputSpec(format="delimited", column=3), text)
+    assert str(caught.value) == (
+        "column 3 missing from every one of the 3 data line(s)"
+    )
 
 
 def test_delimited_column_absent_everywhere_is_structural():
@@ -318,6 +338,33 @@ def test_tally_over_a_stream_holds_no_per_value_memory():
     assert peak < 1_000_000
 
 
+def test_a_long_junk_token_is_rejected_in_linear_time():
+    diagnostics = []
+    started = time.perf_counter()
+    assert list(read_numerals(InputSpec(), "1" * 200_000 + "x", diagnostics)) == []
+    assert time.perf_counter() - started < 2.0
+    assert len(diagnostics) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InputSpec(),
+        InputSpec(format="delimited", delimiter=" ", column=3),
+        InputSpec(format="spectrum2col"),
+    ],
+)
+def test_a_line_of_long_numerals_ending_in_junk_is_read_in_linear_time(spec):
+    # a numeral grammar that could split a digit run would make the plain
+    # line pattern try every split of every numeral before giving up
+    line = "1234567890 " * 40 + "x\n"
+    diagnostics = []
+    started = time.perf_counter()
+    tokens = list(read_numerals(spec, line * 3, diagnostics))
+    assert time.perf_counter() - started < 2.0
+    assert len(tokens) == (120 if spec.format == "plain" else 3)
+
+
 # --------------------------------------- differential properties
 
 _SIGNS = st.sampled_from(["", "+", "-"])
@@ -394,3 +441,137 @@ def test_read_numerals_accounts_for_every_field(lines):
         for ok, token in fields
         if not ok
     ]
+
+
+def per_field_oracle(spec, stream):
+    """Read a stream field by field only, the route read_numerals takes
+    for a line its pattern misses: (tokens, (line, message) pairs,
+    StructuralError text or None)."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream, newline=None)
+    tokens, diagnostics = [], []
+    data_lines = column_hits = 0
+    for line_no, raw in enumerate(stream, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        data_lines += 1
+        if spec.format == "plain":
+            fields = stripped.split()
+        elif spec.format == "delimited":
+            fields = raw.split(spec.delimiter)
+            if len(fields) < spec.column:
+                diagnostics.append(
+                    (
+                        line_no,
+                        f"line has {len(fields)} field(s), column "
+                        f"{spec.column} missing",
+                    )
+                )
+                continue
+            column_hits += 1
+            fields = [fields[spec.column - 1].strip()]
+        else:
+            fields = stripped.replace(",", " ").split()
+            if len(fields) < 2:
+                diagnostics.append((line_no, "expected two fields, got one"))
+                continue
+            fields = [fields[1]]
+        for token in fields:
+            if NUMERAL_RE.fullmatch(token):
+                tokens.append(token)
+            else:
+                diagnostics.append((line_no, f"not a numeral: {token!r}"))
+    error = None
+    if spec.format == "delimited" and data_lines > 0 and column_hits == 0:
+        error = (
+            f"column {spec.column} missing from every one of the "
+            f"{data_lines} data line(s)"
+        )
+    return tokens, diagnostics, error
+
+
+def read_all(spec, stream):
+    """read_numerals drained into the oracle's shape."""
+    diagnostics = []
+    tokens = []
+    error = None
+    try:
+        tokens.extend(read_numerals(spec, stream, diagnostics))
+    except StructuralError as exc:
+        error = str(exc)
+    return tokens, [(d.line, d.message) for d in diagnostics], error
+
+
+# Mostly no blank or ASCII ones, so that many lines take the line
+# pattern; the other Unicode blanks do not end a line in a text file.
+_BLANKS = st.one_of(
+    st.just(""),
+    st.sampled_from([" ", "\t", "  "]),
+    st.text(alphabet=" \t\xa0\x0b\x0c\x1c\x1f\x85\u2028\u3000", max_size=2),
+)
+_LINE_DELIMITERS = " ,;#|e"
+_SPECS = st.one_of(
+    st.just(InputSpec()),
+    st.just(InputSpec(format="spectrum2col")),
+    st.builds(
+        InputSpec,
+        format=st.just("delimited"),
+        delimiter=st.sampled_from(_LINE_DELIMITERS),
+        column=st.integers(1, 3),
+    ),
+)
+
+
+@st.composite
+def whole_line_streams(draw):
+    """A spec and lines for it.  A body is either numerals joined by the
+    spec's separator or junk, empty and numeral fields joined by any
+    separator; a frame is either a plain LF line or any blanks, comment
+    marker and line end."""
+    spec = draw(_SPECS)
+    natural = {"plain": " ", "spectrum2col": draw(st.sampled_from(" ,\t"))}
+    separator = natural.get(spec.format, spec.delimiter)
+    noisy_separators = st.one_of(
+        st.just(separator),
+        st.sampled_from(list(_LINE_DELIMITERS) + ["\t", ", ", " ,", ",,", " \t"]),
+        _BLANKS,
+    )
+    noisy_fields = st.one_of(grammar_numerals(), _JUNK, st.just(""))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            parts = draw(st.lists(grammar_numerals(), min_size=1, max_size=5))
+            body = separator.join(parts)
+        else:
+            parts = draw(st.lists(noisy_fields, min_size=1, max_size=5))
+            body = parts[0]
+            for part in parts[1:]:
+                body += draw(noisy_separators) + part
+        if draw(st.booleans()):
+            lead, comment, trail, end = draw(st.sampled_from(["", " ", "\t"])), "", "", "\n"
+        else:
+            lead, trail = draw(_BLANKS), draw(_BLANKS)
+            comment = draw(st.sampled_from(["", "", "#", "# "]))
+            end = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+        lines.append(lead + comment + body + trail + end)
+    return spec, "".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(whole_line_streams())
+# a space delimiter is not field padding: column 2 is empty
+@example((InputSpec(format="delimited", delimiter=" ", column=2), "1  2\n"))
+# a comment behind a blank that is not ASCII is still a comment
+@example((InputSpec(format="delimited", column=2), "\xa0# x,5\n"))
+# a delimiter that a numeral can hold splits the numeral
+@example((InputSpec(format="delimited", delimiter="e", column=1), "1e5\n"))
+# leading commas do not make a spectrum field
+@example((InputSpec(format="spectrum2col"), ",,5\n"))
+def test_line_patterns_read_whole_lines_as_the_per_field_route_does(stream):
+    spec, text = stream
+    assert read_all(spec, text) == per_field_oracle(spec, text)
+    # the same text cut by str.splitlines: CR and CRLF stay on the line,
+    # and \x0c, \x1c, \x85 and \u2028 end one too
+    raw_lines = text.splitlines(keepends=True)
+    assert read_all(spec, raw_lines) == per_field_oracle(spec, raw_lines)
