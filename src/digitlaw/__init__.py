@@ -41,8 +41,10 @@ from .lawtheory import (
     benford,
     bounds_check,
     exact_frequency,
+    extrema_within,
     extremal_frequency,
     extremum_locations,
+    frequency_series,
     geometric_mean_distribution,
     leading_digit_count,
     limit_frequency,
@@ -68,6 +70,8 @@ __all__ = [
     "limit_frequency",
     "leading_digit_count",
     "exact_frequency",
+    "frequency_series",
+    "extrema_within",
     "extremum_locations",
     "bounds_check",
     "SampleSummary",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -33,23 +33,22 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .digits import MAX_BASE, MIN_BASE, Base, Digit, as_base, as_digit
+from .digits import MAX_BASE, MIN_BASE, Base, as_base, as_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
-from .errors import DigitLawError, DomainError, UsageError
+from .errors import CapacityError, DigitLawError, DomainError, UsageError
 from .fit import FitReport, compare
 from .ingest import FORMATS, InputSpec, read_numerals
 from .lawtheory import (
     BoundsReport,
     DigitDistribution,
-    KIND_MAX,
+    INT_CAPACITY,
     KIND_MIN,
     LABEL_CUSTOM,
-    _check_capacity,
-    _location,
     arithmetic_mean_distribution,
     benford,
     bounds_check,
-    extremal_frequency,
+    extrema_within,
+    frequency_series,
     geometric_mean_distribution,
 )
 
@@ -105,11 +104,8 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         "meta": {},
     }
     try:
-        handler = _HANDLERS[args.command]
-        params, result, diagnostics, exit_code = handler(args)
-        report["params"] = params
-        report["result"] = result
-        report["diagnostics"] = diagnostics
+        params, result, diagnostics, exit_code = _HANDLERS[args.command](args)
+        report.update(params=params, result=result, diagnostics=diagnostics)
         report["meta"] = {
             "tool": "digitlaw",
             "version": __version__,
@@ -120,14 +116,16 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         else:
             chunks = (line + "\n" for line in _RENDERERS[args.command](report))
         _emit(chunks, args.out)
-    except UsageError as exc:
-        print(f"digitlaw: {exc}", file=sys.stderr)
-        report["diagnostics"] = [{"message": str(exc)}]
-        return CommandOutcome(EXIT_USAGE, report)
     except (DigitLawError, OSError, ArithmeticError) as exc:
-        print(f"digitlaw: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # The reader has gone: say nothing, and let the flush at exit
+            # write what is still buffered to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            print(f"digitlaw: {exc}", file=sys.stderr)
         report["diagnostics"] = [{"message": str(exc)}]
-        return CommandOutcome(EXIT_FAILURE, report)
+        code = EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAILURE
+        return CommandOutcome(code, report)
     return CommandOutcome(exit_code, report)
 
 
@@ -258,66 +256,24 @@ def _handle_theory(args) -> tuple[dict, dict, list, int]:
     return {}, result, [], EXIT_OK
 
 
-def _sweep_points(n: int, radix: int, m_max: int) -> Iterator[tuple]:
-    """(m, count, num, den, value) for m = 1..m_max, one point at a time.
-
-    count is the number of integers in {1..m} whose leading digit is n,
-    num/den is count/m in lowest terms and value its float.  Walking the
-    runs [n*N^j, (n+1)*N^j - 1], count climbs by one per m inside a run
-    and stays flat between runs, so each point costs O(1).  Int true
-    division is correctly rounded, so value equals float(Fraction(count, m)).
-    """
-    gcd = math.gcd
-    count = 0
-    low = 1
-    start, width = n, 1
-    while low <= m_max:
-        # flat up to the run's start, then one more per m to its end
-        for step, end in ((0, start), (1, start + width)):
-            high = min(end, m_max + 1)
-            for m in range(low, high):
-                count += step
-                g = gcd(count, m)
-                yield m, count, count // g, m // g, count / m
-            low = high
-        start *= radix
-        width *= radix
-
-
-def _sweep_digit(d: Digit, m_max: int) -> dict:
-    minima = []
-    maxima = []
-    n = d.value
-    radix = d.base.value
-    k = 1
-    # Base 2 has a constant frequency of 1, hence no extrema.
-    while radix >= 3 and _location(n, k, KIND_MIN, radix) <= m_max:
-        for kind, entries in ((KIND_MIN, minima), (KIND_MAX, maxima)):
-            if _location(n, k, kind, radix) <= m_max:
-                extremum = extremal_frequency(d, k, kind, d.base)
-                entries.append(
-                    {
-                        "k": k,
-                        "m": extremum.location_m,
-                        **_fraction_doc(extremum.value),
-                        "value": float(extremum.value),
-                    }
-                )
-        k += 1
-    points = _sweep_points(n, radix, m_max)
+def _sweep_digit(n: int, m_max: int, radix: int) -> dict:
+    minima, maxima = [], []
+    for e in extrema_within(n, m_max, radix):
+        doc = {"k": e.k, "m": e.location_m, "value": float(e.value)}
+        (minima if e.kind == KIND_MIN else maxima).append({**doc, **_fraction_doc(e.value)})
+    points = frequency_series(n, m_max, radix)
     return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
 
 
 def _handle_sweep(args) -> tuple[dict, dict, list, int]:
-    b = as_base(args.base)
-    if args.all_digits:
-        digits = [Digit(n, b) for n in range(1, b.value)]
-    else:
+    digits = range(1, args.base)
+    if not args.all_digits:
         try:
-            digits = [as_digit(args.digit, b)]
+            digits = [as_digit(args.digit, args.base).value]
         except DomainError as exc:
             raise UsageError(str(exc)) from None
-    _check_capacity(args.m_max, "sweep --m-max")
+    if args.m_max > INT_CAPACITY:
+        raise CapacityError(f"sweep --m-max: {args.m_max} exceeds 2**63 - 1")
     params = {
         "digit": None if args.all_digits else args.digit,
         "all_digits": bool(args.all_digits),
@@ -325,7 +281,7 @@ def _handle_sweep(args) -> tuple[dict, dict, list, int]:
     }
     result = {
         "m_max": args.m_max,
-        "series": [_sweep_digit(d, args.m_max) for d in digits],
+        "series": [_sweep_digit(n, args.m_max, args.base) for n in digits],
     }
     return params, result, [], EXIT_OK
 
@@ -484,6 +440,7 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the text pieces as they come, to out_path or stdout."""
     if out_path is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)

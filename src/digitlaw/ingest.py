@@ -46,7 +46,7 @@ FORMATS = (FORMAT_PLAIN, FORMAT_DELIMITED, FORMAT_SPECTRUM2COL)
 
 COMMENT_PREFIX = "#"
 
-_DELIMITER_FORBIDDEN = set("0123456789+-.")
+_DELIMITER_FORBIDDEN = set("0123456789+-.eE")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class InputSpec:
             )
         if delimiter in _DELIMITER_FORBIDDEN:
             raise DomainError(
-                "delimiter cannot be a digit, sign, or decimal point"
+                "delimiter cannot be a digit, sign, decimal point or exponent marker"
             )
         column = self.column
         if not isinstance(column, int) or isinstance(column, bool) or column < 1:
@@ -103,9 +103,6 @@ def _line_pattern(spec: InputSpec) -> re.Pattern[str]:
         return re.compile(
             rf"[ \t]*[^\s,#][^\s,]*[ \t,]+({num})(?:[\s,].*)?", re.S
         )
-    if spec.delimiter in "eE":
-        # The only delimiters a numeral can contain: no line is taken whole.
-        return re.compile("(?!)")
     d = re.escape(spec.delimiter)
     # Padding that strip() removes, but never the delimiter itself.
     blank = r"[\t]" if spec.delimiter == " " else r"[ \t]"
@@ -174,9 +171,7 @@ def read_numerals(
         else:  # spectrum2col
             fields = stripped.replace(",", " ").split()
             if len(fields) < 2:
-                diagnostics.append(
-                    Diagnostic(line_no, "expected two fields, got one")
-                )
+                diagnostics.append(Diagnostic(line_no, "expected two fields, got one"))
                 continue
             tokens = [fields[1]]
 
@@ -184,9 +179,7 @@ def read_numerals(
             if NUMERAL_RE.fullmatch(token):
                 yield token
             else:
-                diagnostics.append(
-                    Diagnostic(line_no, f"not a numeral: {token!r}")
-                )
+                diagnostics.append(Diagnostic(line_no, f"not a numeral: {token!r}"))
 
     if spec.format == FORMAT_DELIMITED and data_lines > 0 and column_hits == 0:
         raise StructuralError(

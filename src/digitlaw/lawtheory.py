@@ -17,9 +17,11 @@ arithmetic; floating point appears only inside DigitDistribution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .digits import Base, Digit, as_base, as_digit
 from .errors import CapacityError, DomainError
@@ -170,10 +172,9 @@ def limit_frequency(n: Digit | int, kind: str, base: Base | int = 10) -> Fractio
 
     min -> 1/((N-1) n), max -> N/((N-1) (n+1)), in lowest terms.
     """
-    b = as_base(base)
-    d = as_digit(n, b)
+    d = as_digit(n, base)
     _require_kind(kind)
-    radix = b.value
+    radix = d.base.value
     if kind == KIND_MIN:
         return Fraction(1, (radix - 1) * d.value)
     return Fraction(radix, (radix - 1) * (d.value + 1))
@@ -194,11 +195,10 @@ def extremal_frequency(
     ones over the all-(N-1) tail that precedes the next block of leading
     digit n.  tests/test_lawtheory.py checks that the two forms agree.
     """
-    b = as_base(base)
-    d = as_digit(n, b)
+    d = as_digit(n, base)
     _require_kind(kind)
     _require_positive("k", k)
-    radix = b.value
+    radix = d.base.value
     context = f"extremal_frequency(n={d.value}, k={k}, kind={kind}, base={radix})"
     # Only the location is capped; the closed form's terms are exact ints
     # of any size.  Past k = 63 every location exceeds the cap.
@@ -238,26 +238,29 @@ def geometric_mean_distribution(base: Base | int = 10) -> DigitDistribution:
     return DigitDistribution(b, probs, LABEL_GEOM)
 
 
+def _runs(n: int, radix: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each run [n*N^j, (n+1)*N^j - 1] led by n, j = 0, 1, ..."""
+    start, width = n, 1
+    while True:
+        yield start, start + width
+        start, width = start * radix, width * radix
+
+
 def leading_digit_count(n: Digit | int, m: int, base: Base | int = 10) -> int:
     """Exact count of integers in [1, m] whose leading digit is n.
 
-    Sums the complete and partial runs [n*N^j, (n+1)*N^j - 1] clipped to
-    [1, m]; equals brute-force enumeration of the segment.
+    Sums the complete and partial _runs clipped to [1, m]; equals
+    brute-force enumeration of the segment.
     """
-    b = as_base(base)
-    d = as_digit(n, b)
+    d = as_digit(n, base)
+    radix = d.base.value
     _require_positive("m", m)
-    radix = b.value
     _check_capacity(m, f"leading_digit_count(n={d.value}, m={m}, base={radix})")
     count = 0
-    run_start = d.value  # n * N^j
-    run_width = 1  # N^j
-    while run_start <= m:
-        run_end = run_start + run_width - 1
-        count += (run_end if run_end <= m else m) - run_start + 1
-        run_start *= radix
-        run_width *= radix
-    return count
+    for start, stop in _runs(d.value, radix):
+        if start > m:
+            return count
+        count += min(stop, m + 1) - start
 
 
 def exact_frequency(n: Digit | int, m: int, base: Base | int = 10) -> Fraction:
@@ -265,28 +268,71 @@ def exact_frequency(n: Digit | int, m: int, base: Base | int = 10) -> Fraction:
     return Fraction(leading_digit_count(n, m, base), m)
 
 
+def frequency_series(
+    n: Digit | int, m_max: int, base: Base | int = 10
+) -> Iterator[tuple[int, int, int, int, float]]:
+    """(m, count, num, den, value) for m = 1..m_max, made one O(1) point at a time.
+
+    count is leading_digit_count(n, m), num/den is count/m in lowest terms and
+    value its float.  The arguments are checked at the call; no point is kept.
+    """
+    d = as_digit(n, base)
+    radix = d.base.value
+    _require_positive("m_max", m_max)
+    _check_capacity(m_max, f"frequency_series(n={d.value}, m_max={m_max}, base={radix})")
+    return _series(d.value, radix, m_max)
+
+
+def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
+    # Over the _runs, count is flat up to a run's start, then climbs by one per
+    # m.  Int true division rounds correctly: value == float(Fraction(count, m)).
+    gcd = math.gcd
+    count, low = 0, 1
+    for start, stop in _runs(n, radix):
+        for step, end in ((0, start), (1, stop)):
+            high = min(end, m_max + 1)
+            for m in range(low, high):
+                count += step
+                g = gcd(count, m)
+                yield m, count, count // g, m // g, count / m
+            low = high
+        if low > m_max:
+            return
+
+
+def extrema_within(
+    n: Digit | int, m_max: int, base: Base | int = 10
+) -> tuple[ExtremalFrequency, ...]:
+    """The extremal_frequency values located at m <= m_max, by k, min first.
+
+    Base 2 has a constant frequency of 1, hence no extrema: the result is empty.
+    """
+    d = as_digit(n, base)
+    _require_positive("m_max", m_max)
+    if d.base.value == 2:
+        return ()
+    found = []
+    # For N >= 3 the locations rise strictly in this order.
+    for k in itertools.count(1):
+        for kind in (KIND_MIN, KIND_MAX):
+            if _location(d.value, k, kind, d.base.value) > m_max:
+                return tuple(found)
+            found.append(extremal_frequency(d, k, kind, d.base))
+
+
 def extremum_locations(
     n: Digit | int, k_max: int, base: Base | int = 10
 ) -> tuple[tuple[int, int], ...]:
     """Locations (m_min, m_max) of the first k_max successive extrema.
 
-    The pairs come from _location for k = 1..k_max.  Base 2 has a constant
-    frequency of 1, hence no extrema: the result is empty.
+    They are the extrema_within the k_max-th maximum (none in base 2).  Past
+    k = 64 every location is above the cap, so a walk that far already fails.
     """
-    b = as_base(base)
-    d = as_digit(n, b)
+    d = as_digit(n, base)
     _require_positive("k_max", k_max)
-    if b.value == 2:
-        return ()
-    radix = b.value
-    context = f"extremum_locations(n={d.value}, k_max={k_max}, base={radix})"
-    if k_max > 63:
-        raise CapacityError(f"{context}: {radix}**{k_max} exceeds 2**63 - 1")
-    _check_capacity(_location(d.value, k_max, KIND_MAX, radix), context)
-    return tuple(
-        tuple(_location(d.value, k, kind, radix) for kind in (KIND_MIN, KIND_MAX))
-        for k in range(1, k_max + 1)
-    )
+    last = _location(d.value, min(k_max, 64), KIND_MAX, d.base.value)
+    locations = [e.location_m for e in extrema_within(d, last, d.base)]
+    return tuple(zip(locations[::2], locations[1::2]))
 
 
 def bounds_check(dist: DigitDistribution) -> BoundsReport:

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, rendering, exit codes, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -22,7 +23,6 @@ from digitlaw.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _json_points,
-    _sweep_points,
     execute,
 )
 from digitlaw.lawtheory import (
@@ -153,22 +153,6 @@ def test_sweep_m_max_beyond_capacity_fails_before_any_output(capsys):
             assert outcome.exit_code == EXIT_FAILURE
             assert "9223372036854775808 exceeds 2**63 - 1" in captured.err
             assert captured.out == ""
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_streamed_sweep_points_equal_the_exact_counts(data):
-    radix = data.draw(st.integers(2, 36), label="radix")
-    n = data.draw(st.integers(1, radix - 1), label="n")
-    m_max = data.draw(st.integers(1, 2000), label="m_max")
-    ms = []
-    for m, count, num, den, value in _sweep_points(n, radix, m_max):
-        ms.append(m)
-        exact = Fraction(count, m)
-        assert count == leading_digit_count(n, m, radix)
-        assert (num, den) == (exact.numerator, exact.denominator)
-        assert type(value) is float and value == float(exact)
-    assert ms == list(range(1, m_max + 1))
 
 
 def exact_point(n, m, radix):
@@ -363,6 +347,16 @@ def test_analyze_delimited_with_diagnostics(tmp_path, capsys):
     assert [d["line"] for d in doc["diagnostics"]] == [1, 3]
     assert all(d["source"] == str(path) for d in doc["diagnostics"])
     assert doc["params"]["candidates"] == ["benford"]
+
+
+@pytest.mark.parametrize("delimiter", ["e", "E"])
+def test_analyze_rejects_an_exponent_marker_as_delimiter(delimiter, capsys):
+    argv = ["analyze", "--format", "delimited", "--delimiter", delimiter]
+    outcome = execute(argv + ["--base", "16"])
+    captured = capsys.readouterr()
+    assert outcome.exit_code == EXIT_USAGE
+    assert captured.out == ""
+    assert "exponent marker" in captured.err
 
 
 def test_analyze_spectrum_format(tmp_path, capsys):
@@ -735,8 +729,45 @@ def test_out_flag_writes_the_same_text_as_stdout(tmp_path, capsys):
 def test_unwritable_out_path_exits_one(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "report.json"
     outcome = execute(["theory", "--out", str(target)])
-    capsys.readouterr()
     assert outcome.exit_code == EXIT_FAILURE
+    assert "report.json" in capsys.readouterr().err
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    argv = ["-m", "digitlaw", "sweep", "--digit", "1", "--m-max", "200000"]
+    flags = ["-X", "dev", "-W", "error::ResourceWarning"]
+    with subprocess.Popen(
+        [sys.executable, *flags, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        assert child.stdout.readline().startswith(b"leading-digit frequency")
+        child.stdout.close()  # the table is megabytes, far past a pipe's buffer
+        err = child.stderr.read()
+    assert err == b""
+    assert child.returncode == EXIT_FAILURE
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    import digitlaw.cli
+
+    tree = ast.parse(Path(digitlaw.cli.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    names += [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    ]
+    private = [
+        name
+        for name in names
+        for part in name.split(".")
+        if part.startswith("_") and not part.endswith("__")
+    ]
+    assert private == []
 
 
 def test_json_reports_are_deterministic_modulo_meta(segment_file, tmp_path, capsys):

@@ -5,9 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitlaw.digits import Base, Digit
-from digitlaw.errors import CapacityError, DomainError
+from digitlaw.errors import CapacityError, DigitLawError, DomainError
 from digitlaw.lawtheory import (
     INT_CAPACITY,
     KIND_MAX,
@@ -19,8 +20,10 @@ from digitlaw.lawtheory import (
     benford,
     bounds_check,
     exact_frequency,
+    extrema_within,
     extremal_frequency,
     extremum_locations,
+    frequency_series,
     geometric_mean_distribution,
     leading_digit_count,
     limit_frequency,
@@ -348,7 +351,69 @@ def test_exact_frequency_coheres_with_extremal_formula():
             )
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_frequency_series_points_equal_the_exact_counts(data):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    n = data.draw(st.integers(1, radix - 1), label="n")
+    m_max = data.draw(st.integers(1, 2000), label="m_max")
+    ms = []
+    for m, count, num, den, value in frequency_series(n, m_max, radix):
+        ms.append(m)
+        exact = Fraction(count, m)
+        assert count == leading_digit_count(n, m, radix)
+        assert (num, den) == (exact.numerator, exact.denominator)
+        assert type(value) is float and value == float(exact)
+    assert ms == list(range(1, m_max + 1))
+
+
+def test_frequency_series_checks_its_arguments_at_the_call():
+    for args in ((0, 10), (10, 10), (1, 0), (1, INT_CAPACITY + 1)):
+        with pytest.raises(DigitLawError):
+            frequency_series(*args)
+
+
 # -------------------------------------------------- extremum locations
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_extrema_within_are_the_strict_local_extrema_of_the_series(data):
+    """Every strict local minimum and maximum of count(m)/m, found by
+    enumeration over 1 < m <= m_max, is an extremum in range, and no other.
+    The one exception is m = n: for n >= 2 the frequency jumps from 0 to
+    1/n there and falls after, a peak the paper's k >= 1 does not count.
+    """
+    radix = data.draw(st.integers(2, 36), label="radix")
+    n = data.draw(st.integers(1, radix - 1), label="n")
+    m_max = data.draw(st.integers(1, 2000), label="m_max")
+    counts = [0]
+    for i in range(1, m_max + 2):
+        counts.append(counts[-1] + (brute_first_digit(i, radix) == n))
+    f = [None] + [Fraction(counts[m], m) for m in range(1, m_max + 2)]
+    expected = {KIND_MIN: [], KIND_MAX: []}
+    for m in range(2, m_max + 1):
+        if f[m - 1] > f[m] < f[m + 1]:
+            expected[KIND_MIN].append(m)
+        elif f[m - 1] < f[m] > f[m + 1] and m != n:
+            expected[KIND_MAX].append(m)
+    extrema = extrema_within(n, m_max, radix)
+    for kind in (KIND_MIN, KIND_MAX):
+        found = [e for e in extrema if e.kind == kind]
+        assert [e.location_m for e in found] == expected[kind]
+        assert [e.k for e in found] == list(range(1, len(found) + 1))
+        assert all(e.value == f[e.location_m] for e in found)
+    assert [e.location_m for e in extrema] == sorted(e.location_m for e in extrema)
+
+
+def test_extrema_within_base_two_and_bad_arguments():
+    assert extrema_within(1, INT_CAPACITY, 2) == ()
+    assert extrema_within(1, 8) == ()
+    assert [e.location_m for e in extrema_within(1, 19)] == [9, 19]
+    for args in ((0, 10), (1, 0), (1, 10, 37)):
+        with pytest.raises(DomainError):
+            extrema_within(*args)
+
 
 
 def test_extremum_locations_reference_patterns():
