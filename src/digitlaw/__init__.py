@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .digits import (
     Base,
-    Digit,
     as_base,
-    as_digit,
+    check_digit,
     leading_digit_int,
     leading_digit_real,
     leading_digit_text,
@@ -53,9 +52,8 @@ from .lawtheory import (
 __all__ = [
     "__version__",
     "Base",
-    "Digit",
     "as_base",
-    "as_digit",
+    "check_digit",
     "leading_digit_int",
     "leading_digit_real",
     "leading_digit_text",

@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .digits import MAX_BASE, MIN_BASE, Base, as_base, as_digit
+from .digits import MAX_BASE, MIN_BASE, Base, as_base, check_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
 from .errors import CapacityError, DigitLawError, DomainError, UsageError
 from .fit import FitReport, compare
@@ -269,7 +269,7 @@ def _handle_sweep(args) -> tuple[dict, dict, list, int]:
     digits = range(1, args.base)
     if not args.all_digits:
         try:
-            digits = [as_digit(args.digit, args.base).value]
+            digits = [check_digit(args.digit, args.base)]
         except DomainError as exc:
             raise UsageError(str(exc)) from None
     if args.m_max > INT_CAPACITY:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, ParseError
 
 MIN_BASE = 2
 # Capped so that every digit of every base has one character in 0-9A-Z.
@@ -55,56 +55,31 @@ class Base:
             )
 
 
-@dataclass(frozen=True)
-class Digit:
-    """A leading digit for one base: 1 <= value <= base - 1, never zero."""
-
-    value: int
-    base: Base
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise DomainError(f"digit must be an integer, got {self.value!r}")
-        if not 1 <= self.value <= self.base.value - 1:
-            raise DomainError(
-                f"digit must be in [1, {self.base.value - 1}] "
-                f"for base {self.base.value}, got {self.value}"
-            )
-
-
 def as_base(base: Base | int) -> Base:
     """Coerce an int to a Base; pass a Base through."""
     return base if isinstance(base, Base) else Base(base)
 
 
-def as_digit(n: Digit | int, base: Base | int) -> Digit:
-    """Coerce an int to a Digit of the given base; check a Digit's base."""
-    b = as_base(base)
-    if isinstance(n, Digit):
-        if n.base != b:
-            raise UsageError(
-                f"digit belongs to base {n.base.value}, expected base {b.value}"
-            )
-        return n
-    return Digit(n, b)
+def check_digit(n: int, base: Base | int) -> int:
+    """n, once checked to be a leading digit of the base: an int in [1, base - 1]."""
+    radix = as_base(base).value
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"digit must be an integer, got {n!r}")
+    if not 1 <= n <= radix - 1:
+        raise DomainError(
+            f"digit must be in [1, {radix - 1}] for base {radix}, got {n}"
+        )
+    return n
 
 
-@functools.cache
-def _digits(radix: int) -> tuple[Digit | None, ...]:
-    """The leading digits of a radix, built and validated once; index by value."""
-    b = Base(radix)
-    return (None,) + tuple(Digit(n, b) for n in range(1, radix))
-
-
-def leading_digit_int(m: int, base: Base | int = 10) -> Digit:
+def leading_digit_int(m: int, base: Base | int = 10) -> int:
     """Most significant digit of a positive integer written in the base.
 
     Integer arithmetic only, so the result is exact at any width.
     """
-    b = as_base(base)
+    radix = as_base(base).value
     if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
         raise DomainError(f"need a positive integer, got {m!r}")
-    radix = b.value
     if m >= radix:
         # One division by radix**e, with e at most log_radix(m) and a step
         # or two short of it, leaves a quotient of a few digits; dividing
@@ -113,7 +88,7 @@ def leading_digit_int(m: int, base: Base | int = 10) -> Digit:
         m //= radix**e
         while m >= radix:
             m //= radix
-    return _digits(radix)[m]
+    return m
 
 
 @functools.cache
@@ -139,23 +114,23 @@ def float_digit_rule(radix: int) -> Callable[[float], int]:
     return digit
 
 
-def leading_digit_real(x: float, base: Base | int = 10) -> Digit:
+def leading_digit_real(x: float, base: Base | int = 10) -> int:
     """First significant digit of a nonzero finite real in the base.
 
     |x| is read by float_digit_rule(base): scaled into [1, base) by the
     radix, carried to digit 1 within a few ulps under the radix.
     """
-    b = as_base(base)
+    radix = as_base(base).value
     try:
         s = abs(float(x))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"not a real number: {x!r}") from exc
     if s == 0.0 or not math.isfinite(s):
         raise DomainError(f"leading digit undefined for {x!r}")
-    return _digits(b.value)[float_digit_rule(b.value)(s)]
+    return float_digit_rule(radix)(s)
 
 
-def leading_digit_text(token: str) -> Digit | None:
+def leading_digit_text(token: str) -> int | None:
     """First nonzero digit of a decimal numeral, read from the text itself.
 
     Sign, leading zeros, and any exponent are ignored; the digit returned
@@ -170,4 +145,4 @@ def leading_digit_text(token: str) -> Digit | None:
     if not NUMERAL_RE.fullmatch(text):
         raise ParseError(f"not a decimal numeral: {token!r}")
     index = DECIMAL_INDEX.get(text.lstrip("+-0.")[:1])
-    return None if index is None else _digits(10)[index + 1]
+    return None if index is None else index + 1

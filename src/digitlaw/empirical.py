@@ -30,7 +30,8 @@ class SampleSummary:
 
         total_read = used + skipped_zero + skipped_nonfinite
 
-    where used = sum(counts) is derived, not stored.
+    where used = sum(counts) is derived, not stored.  Every count is a
+    non-negative int; an int base is coerced to a Base.
     """
 
     base: Base
@@ -41,15 +42,17 @@ class SampleSummary:
     source: str = ""
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        object.__setattr__(self, "base", as_base(self.base))
+        counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
         if len(counts) != self.base.value - 1:
             raise UsageError(
                 f"base {self.base.value} needs {self.base.value - 1} counts, "
                 f"got {len(counts)}"
             )
-        if any(c < 0 for c in counts):
-            raise UsageError("digit counts cannot be negative")
+        tallies = counts + (self.total_read, self.skipped_zero, self.skipped_nonfinite)
+        if not all(type(c) is int and c >= 0 for c in tallies):
+            raise UsageError("counts, total_read and skip counts must be non-negative ints")
         if self.total_read != self.used + self.skipped_zero + self.skipped_nonfinite:
             raise UsageError("total_read must equal used + skipped counts")
 
@@ -101,7 +104,7 @@ def tally(
             if item == 0:
                 skipped_zero += 1
             else:
-                counts[leading_digit_int(abs(item), b).value - 1] += 1
+                counts[leading_digit_int(abs(item), b) - 1] += 1
             continue
         numeric = abs(float(item))
         if not math.isfinite(numeric):

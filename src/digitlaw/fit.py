@@ -9,7 +9,7 @@ against the universal probability sandwich from lawtheory.bounds_check.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,9 +38,9 @@ class CandidateScore:
     def __post_init__(self) -> None:
         if not -1.0 <= self.r <= 1.0:
             raise UsageError(f"correlation {self.r} outside [-1, 1]")
-        if self.chi_square < 0.0 or self.mad < 0.0:
-            raise UsageError("chi_square and mad cannot be negative")
-        if self.max_abs_dev < self.mad:
+        if not (self.chi_square >= 0.0 and self.mad >= 0.0):
+            raise UsageError("chi_square and mad must be non-negative numbers")
+        if not self.max_abs_dev >= self.mad:
             raise UsageError("max_abs_dev cannot be below mad")
 
 
@@ -72,21 +72,29 @@ def pearson_r(emp: DigitDistribution, theo: DigitDistribution) -> float:
 
     Base 2 offers a single point, so correlation is undefined there; a
     constant vector on either side has zero variance and is likewise
-    rejected rather than scored.
+    rejected rather than scored.  The arithmetic is written out, as
+    statistics.correlation does it in CPython 3.10 and 3.11, so that r has
+    the same bits on every Python version.
     """
     _require_same_base(emp, theo)
     if emp.base.value == 2:
         raise DegenerateBaseError(
             "correlation is undefined in base 2 (one digit, one point)"
         )
-    try:
-        r = statistics.correlation(emp.probabilities, theo.probabilities)
-    except statistics.StatisticsError as exc:
+    x, y = emp.probabilities, theo.probabilities
+    xbar, ybar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - xbar for xi in x]
+    dy = [yi - ybar for yi in y]
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxx = math.fsum(a * a for a in dx)
+    syy = math.fsum(b * b for b in dy)
+    denominator = math.sqrt(sxx * syy)
+    if not denominator:
         raise UndefinedCorrelationError(
-            f"zero variance in probabilities: {exc}"
-        ) from None
+            "zero variance in probabilities: at least one of the inputs is constant"
+        )
     # correlation of x with itself can land a rounding step past 1.0
-    return max(-1.0, min(1.0, r))
+    return max(-1.0, min(1.0, sxy / denominator))
 
 
 def chi_square(summary: SampleSummary, theo: DigitDistribution) -> tuple[float, int]:
@@ -115,7 +123,7 @@ def mad(emp: DigitDistribution, theo: DigitDistribution) -> float:
     """Mean absolute deviation between the two probability vectors."""
     _require_same_base(emp, theo)
     deviations = [abs(a - b) for a, b in zip(emp.probabilities, theo.probabilities)]
-    return statistics.fmean(deviations)
+    return math.fsum(deviations) / len(deviations)
 
 
 def max_abs_dev(emp: DigitDistribution, theo: DigitDistribution) -> float:

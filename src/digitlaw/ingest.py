@@ -106,11 +106,16 @@ def _line_pattern(spec: InputSpec) -> re.Pattern[str]:
     d = re.escape(spec.delimiter)
     # Padding that strip() removes, but never the delimiter itself.
     blank = r"[\t]" if spec.delimiter == " " else r"[ \t]"
-    return re.compile(
-        rf"(?!\s*#)(?:[^{d}]*{d}){{{spec.column - 1}}}"
-        rf"{blank}*({num}){blank}*(?:{d}.*)?\n?",
-        re.S,
-    )
+    try:
+        return re.compile(
+            rf"(?!\s*#)(?:[^{d}]*{d}){{{spec.column - 1}}}"
+            rf"{blank}*({num}){blank}*(?:{d}.*)?\n?",
+            re.S,
+        )
+    except OverflowError:
+        # CPython's re refuses a repeat count of 2**32 - 1 or more.  Then no
+        # line matches, and every line takes the per-field route.
+        return re.compile("(?!)")
 
 
 def read_numerals(

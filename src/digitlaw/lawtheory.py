@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .digits import Base, Digit, as_base, as_digit
+from .digits import Base, as_base, check_digit
 from .errors import CapacityError, DomainError
 
 KIND_MIN = "min"
@@ -59,6 +59,7 @@ class DigitDistribution:
     label: str = LABEL_CUSTOM
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", as_base(self.base))
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "probabilities", probs)
         n_digits = self.base.value - 1
@@ -83,26 +84,28 @@ class DigitDistribution:
 class ExtremalFrequency:
     """The k-th successive extremum of the leading-digit frequency.
 
-    location_m is the m that _location gives; value is the exact
-    frequency there, in lowest terms.
+    location_m is the m that _location gives for the digit in the base;
+    value is the exact frequency there, in lowest terms.
     """
 
-    digit: Digit
+    digit: int
     k: int
     kind: str
     value: Fraction
     location_m: int
+    base: Base = Base(10)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", as_base(self.base))
+        check_digit(self.digit, self.base)
         _require_kind(self.kind)
         _require_positive("k", self.k)
         if not 0 < self.value <= 1:
             raise DomainError(f"extremal frequency {self.value} outside (0, 1]")
-        radix = self.digit.base.value
-        if self.location_m != _location(self.digit.value, self.k, self.kind, radix):
+        if self.location_m != _location(self.digit, self.k, self.kind, self.base.value):
             raise DomainError(
                 f"location {self.location_m} inconsistent with "
-                f"n={self.digit.value}, k={self.k}, kind={self.kind}"
+                f"n={self.digit}, k={self.k}, kind={self.kind}"
             )
 
 
@@ -167,21 +170,21 @@ def benford(base: Base | int = 10) -> DigitDistribution:
     return DigitDistribution(b, probs, LABEL_BENFORD)
 
 
-def limit_frequency(n: Digit | int, kind: str, base: Base | int = 10) -> Fraction:
+def limit_frequency(n: int, kind: str, base: Base | int = 10) -> Fraction:
     """Limit of the extremal frequencies as k grows without bound.
 
     min -> 1/((N-1) n), max -> N/((N-1) (n+1)), in lowest terms.
     """
-    d = as_digit(n, base)
+    radix = as_base(base).value
+    check_digit(n, radix)
     _require_kind(kind)
-    radix = d.base.value
     if kind == KIND_MIN:
-        return Fraction(1, (radix - 1) * d.value)
-    return Fraction(radix, (radix - 1) * (d.value + 1))
+        return Fraction(1, (radix - 1) * n)
+    return Fraction(radix, (radix - 1) * (n + 1))
 
 
 def extremal_frequency(
-    n: Digit | int, k: int, kind: str, base: Base | int = 10
+    n: int, k: int, kind: str, base: Base | int = 10
 ) -> ExtremalFrequency:
     """Exact value and location of the k-th successive extremum.
 
@@ -195,19 +198,20 @@ def extremal_frequency(
     ones over the all-(N-1) tail that precedes the next block of leading
     digit n.  tests/test_lawtheory.py checks that the two forms agree.
     """
-    d = as_digit(n, base)
+    b = as_base(base)
+    check_digit(n, b)
     _require_kind(kind)
     _require_positive("k", k)
-    radix = d.base.value
-    context = f"extremal_frequency(n={d.value}, k={k}, kind={kind}, base={radix})"
+    radix = b.value
+    context = f"extremal_frequency(n={n}, k={k}, kind={kind}, base={radix})"
     # Only the location is capped; the closed form's terms are exact ints
     # of any size.  Past k = 63 every location exceeds the cap.
     if k > 63:
         raise CapacityError(f"{context}: {radix}**{k} exceeds 2**63 - 1")
-    location = _check_capacity(_location(d.value, k, kind, radix), context)
+    location = _check_capacity(_location(n, k, kind, radix), context)
     width = k if kind == KIND_MIN else k + 1
     closed = Fraction(radix**width - 1, (radix - 1) * location)
-    return ExtremalFrequency(d, k, kind, closed, location)
+    return ExtremalFrequency(n, k, kind, closed, location, b)
 
 
 def arithmetic_mean_distribution(base: Base | int = 10) -> DigitDistribution:
@@ -246,41 +250,41 @@ def _runs(n: int, radix: int) -> Iterator[tuple[int, int]]:
         start, width = start * radix, width * radix
 
 
-def leading_digit_count(n: Digit | int, m: int, base: Base | int = 10) -> int:
+def leading_digit_count(n: int, m: int, base: Base | int = 10) -> int:
     """Exact count of integers in [1, m] whose leading digit is n.
 
     Sums the complete and partial _runs clipped to [1, m]; equals
     brute-force enumeration of the segment.
     """
-    d = as_digit(n, base)
-    radix = d.base.value
+    radix = as_base(base).value
+    check_digit(n, radix)
     _require_positive("m", m)
-    _check_capacity(m, f"leading_digit_count(n={d.value}, m={m}, base={radix})")
+    _check_capacity(m, f"leading_digit_count(n={n}, m={m}, base={radix})")
     count = 0
-    for start, stop in _runs(d.value, radix):
+    for start, stop in _runs(n, radix):
         if start > m:
             return count
         count += min(stop, m + 1) - start
 
 
-def exact_frequency(n: Digit | int, m: int, base: Base | int = 10) -> Fraction:
+def exact_frequency(n: int, m: int, base: Base | int = 10) -> Fraction:
     """Frequency count(n, m) / m as an exact rational in lowest terms."""
     return Fraction(leading_digit_count(n, m, base), m)
 
 
 def frequency_series(
-    n: Digit | int, m_max: int, base: Base | int = 10
+    n: int, m_max: int, base: Base | int = 10
 ) -> Iterator[tuple[int, int, int, int, float]]:
     """(m, count, num, den, value) for m = 1..m_max, made one O(1) point at a time.
 
     count is leading_digit_count(n, m), num/den is count/m in lowest terms and
     value its float.  The arguments are checked at the call; no point is kept.
     """
-    d = as_digit(n, base)
-    radix = d.base.value
+    radix = as_base(base).value
+    check_digit(n, radix)
     _require_positive("m_max", m_max)
-    _check_capacity(m_max, f"frequency_series(n={d.value}, m_max={m_max}, base={radix})")
-    return _series(d.value, radix, m_max)
+    _check_capacity(m_max, f"frequency_series(n={n}, m_max={m_max}, base={radix})")
+    return _series(n, radix, m_max)
 
 
 def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
@@ -301,37 +305,39 @@ def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
 
 
 def extrema_within(
-    n: Digit | int, m_max: int, base: Base | int = 10
+    n: int, m_max: int, base: Base | int = 10
 ) -> tuple[ExtremalFrequency, ...]:
     """The extremal_frequency values located at m <= m_max, by k, min first.
 
     Base 2 has a constant frequency of 1, hence no extrema: the result is empty.
     """
-    d = as_digit(n, base)
+    b = as_base(base)
+    check_digit(n, b)
     _require_positive("m_max", m_max)
-    if d.base.value == 2:
+    if b.value == 2:
         return ()
     found = []
     # For N >= 3 the locations rise strictly in this order.
     for k in itertools.count(1):
         for kind in (KIND_MIN, KIND_MAX):
-            if _location(d.value, k, kind, d.base.value) > m_max:
+            if _location(n, k, kind, b.value) > m_max:
                 return tuple(found)
-            found.append(extremal_frequency(d, k, kind, d.base))
+            found.append(extremal_frequency(n, k, kind, b))
 
 
 def extremum_locations(
-    n: Digit | int, k_max: int, base: Base | int = 10
+    n: int, k_max: int, base: Base | int = 10
 ) -> tuple[tuple[int, int], ...]:
     """Locations (m_min, m_max) of the first k_max successive extrema.
 
     They are the extrema_within the k_max-th maximum (none in base 2).  Past
     k = 64 every location is above the cap, so a walk that far already fails.
     """
-    d = as_digit(n, base)
+    b = as_base(base)
+    check_digit(n, b)
     _require_positive("k_max", k_max)
-    last = _location(d.value, min(k_max, 64), KIND_MAX, d.base.value)
-    locations = [e.location_m for e in extrema_within(d, last, d.base)]
+    last = _location(n, min(k_max, 64), KIND_MAX, b.value)
+    locations = [e.location_m for e in extrema_within(n, last, b)]
     return tuple(zip(locations[::2], locations[1::2]))
 
 

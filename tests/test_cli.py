@@ -432,6 +432,20 @@ def test_analyze_structural_error_exits_one(tmp_path, capsys):
     assert "column 7" in err
 
 
+@pytest.mark.parametrize("column", ["3", "4294967296"])
+def test_analyze_column_past_every_line_is_structural_at_any_size(
+    column, tmp_path, capsys
+):
+    path = tmp_path / "short.csv"
+    path.write_text("1,2\n3,4\n")
+    argv = ["analyze", "--input", str(path), "--format", "delimited"]
+    outcome = execute(argv + ["--column", column])
+    assert outcome.exit_code == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        f"digitlaw: column {column} missing from every one of the 2 data line(s)\n"
+    )
+
+
 def test_analyze_base_two_fails_loudly_not_silently(segment_file, capsys):
     # correlation has no meaning over a single digit; the report says so
     outcome = execute(["analyze", "--input", str(segment_file), "--base", "2"])

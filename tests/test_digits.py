@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from digitlaw.digits import (
     NUMERAL_RE,
     Base,
-    Digit,
     as_base,
-    as_digit,
+    check_digit,
     leading_digit_int,
     leading_digit_real,
     leading_digit_text,
 )
-from digitlaw.errors import DomainError, ParseError, UsageError
+from digitlaw.errors import DomainError, ParseError
 
 
 # ------------------------------------------------------------- oracles
@@ -57,7 +56,7 @@ def safe_significand(rng: random.Random, base: int) -> float:
             return s
 
 
-# ------------------------------------------------------- Base and Digit
+# ------------------------------------------------ Base and check_digit
 
 
 def test_base_accepts_the_full_range():
@@ -73,20 +72,27 @@ def test_base_rejects_out_of_range_and_non_int(bad):
 
 
 def test_digit_range_is_one_to_base_minus_one():
-    assert Digit(1, Base(10)).value == 1
-    assert Digit(9, Base(10)).value == 9
-    assert Digit(35, Base(36)).value == 35
-    for bad in (0, 10, -1):
+    assert check_digit(1, Base(10)) == 1
+    assert check_digit(9, Base(10)) == 9
+    assert check_digit(35, Base(36)) == 35
+    for bad in (0, 10, -1, True, 1.0, "1"):
         with pytest.raises(DomainError):
-            Digit(bad, Base(10))
+            check_digit(bad, Base(10))
+    message = r"^digit must be in \[1, 9\] for base 10, got 12$"
+    with pytest.raises(DomainError, match=message):
+        check_digit(12, 10)
 
 
 def test_coercers_accept_ints_and_reject_mismatched_bases():
     assert as_base(7) == Base(7)
     assert as_base(Base(7)) == Base(7)
-    assert as_digit(3, Base(10)) == Digit(3, Base(10))
-    with pytest.raises(UsageError):
-        as_digit(Digit(3, Base(10)), Base(16))
+    assert check_digit(3, 10) == 3
+    # a digit is a plain int, checked only against the base it is given
+    assert check_digit(leading_digit_int(0xA5, 16), 16) == 10
+    with pytest.raises(DomainError):
+        check_digit(leading_digit_int(0xA5, 16), 10)
+    with pytest.raises(DomainError):
+        check_digit(3, 37)
 
 
 # ------------------------------------------------------------ integers
@@ -94,10 +100,10 @@ def test_coercers_accept_ints_and_reject_mismatched_bases():
 
 @pytest.mark.parametrize(
     "m, base, expected",
-    [(199, 10, 1), (89, 10, 8), (5, 2, 1), (1, 10, 1), (9, 10, 9), (255, 16, 15)],
+    [(199, 10, 1), (89, 10, 8), (5, 2, 1), (1, 10, 1), (9, 10, 9), (255, 16, 15), (0xA5, 16, 10)],
 )
 def test_leading_digit_int_known_values(m, base, expected):
-    assert leading_digit_int(m, base).value == expected
+    assert leading_digit_int(m, base) == expected
 
 
 @pytest.mark.parametrize("bad", [0, -1, -199, True, False, 1.0, "9"])
@@ -109,12 +115,12 @@ def test_leading_digit_int_rejects_nonpositive_and_non_int(bad):
 def test_leading_digit_int_matches_rendering_exhaustively():
     # cheap string oracles allow a dense sweep in these bases
     for m in range(1, 10**5 + 1):
-        assert leading_digit_int(m, 10).value == first_digit_by_rendering(m, 10)
+        assert leading_digit_int(m, 10) == first_digit_by_rendering(m, 10)
     for base in (2, 8, 16):
         for m in range(1, 10**4 + 1):
-            assert leading_digit_int(m, base).value == first_digit_by_rendering(m, base)
+            assert leading_digit_int(m, base) == first_digit_by_rendering(m, base)
     for m in range(1, 10**4 + 1):
-        assert leading_digit_int(m, 3).value == first_digit_by_rendering(m, 3)
+        assert leading_digit_int(m, 3) == first_digit_by_rendering(m, 3)
 
 
 def test_leading_digit_int_matches_rendering_sampled_high():
@@ -122,7 +128,7 @@ def test_leading_digit_int_matches_rendering_sampled_high():
     for _ in range(20000):
         base = rng.choice((2, 3, 8, 10, 16, 36))
         m = rng.randrange(1, 10**6 + 1)
-        assert leading_digit_int(m, base).value == first_digit_by_rendering(m, base)
+        assert leading_digit_int(m, base) == first_digit_by_rendering(m, base)
 
 
 # --------------------------------------------------------------- reals
@@ -141,13 +147,13 @@ def test_leading_digit_int_matches_rendering_sampled_high():
     ],
 )
 def test_leading_digit_real_known_values(x, base, expected):
-    assert leading_digit_real(x, base).value == expected
+    assert leading_digit_real(x, base) == expected
 
 
 def test_leading_digit_real_boundary_guard():
     # products that float arithmetic leaves a hair under a power of ten
-    assert leading_digit_real(1000 * 0.001).value == 1
-    assert leading_digit_real(0.1 + 0.1 + 0.1).value == 3
+    assert leading_digit_real(1000 * 0.001) == 1
+    assert leading_digit_real(0.1 + 0.1 + 0.1) == 3
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, float("nan"), float("inf"), float("-inf")])
@@ -160,16 +166,16 @@ def test_leading_digit_real_sign_invariance():
     rng = random.Random(402)
     for _ in range(2000):
         x = safe_significand(rng, 10) * 10.0 ** rng.randrange(-12, 13)
-        assert leading_digit_real(x).value == leading_digit_real(-x).value
+        assert leading_digit_real(x) == leading_digit_real(-x)
 
 
 def test_leading_digit_real_scale_by_radix_invariance():
     rng = random.Random(403)
     for _ in range(2000):
         x = safe_significand(rng, 10)
-        expected = leading_digit_real(x).value
+        expected = leading_digit_real(x)
         for e in (-8, -3, -1, 1, 4, 9):
-            assert leading_digit_real(x * 10.0**e).value == expected
+            assert leading_digit_real(x * 10.0**e) == expected
 
 
 def test_leading_digit_real_scale_invariance_is_exact_in_base_two():
@@ -177,17 +183,17 @@ def test_leading_digit_real_scale_invariance_is_exact_in_base_two():
     rng = random.Random(404)
     for _ in range(2000):
         mantissa = rng.uniform(1.0, 2.0)
-        expected = leading_digit_real(mantissa, 2).value
+        expected = leading_digit_real(mantissa, 2)
         assert expected == 1
         for e in range(-60, 61, 7):
-            assert leading_digit_real(math.ldexp(mantissa, e), 2).value == expected
+            assert leading_digit_real(math.ldexp(mantissa, e), 2) == expected
 
 
 def test_leading_digit_real_agrees_with_int_extractor():
     rng = random.Random(405)
     for _ in range(3000):
         m = rng.randrange(1, 10**8)
-        assert leading_digit_real(float(m)).value == leading_digit_int(m).value
+        assert leading_digit_real(float(m)) == leading_digit_int(m)
 
 
 # ---------------------------------------------------------------- text
@@ -208,7 +214,7 @@ def test_leading_digit_real_agrees_with_int_extractor():
 )
 def test_leading_digit_text_reads_the_printed_digit(token, expected):
     digit = leading_digit_text(token)
-    assert digit is not None and digit.value == expected
+    assert digit is not None and digit == expected
 
 
 @pytest.mark.parametrize("token", ["0", "0.000", "0e9", "+0.0", "-0"])
@@ -264,8 +270,8 @@ def test_text_and_real_extractors_agree_on_clean_tokens():
         token = f"{sig:.6f}e{e}"
         expected = int(str(sig)[0])
         digit = leading_digit_text(token)
-        assert digit is not None and digit.value == expected
-        assert leading_digit_real(float(token)).value == expected
+        assert digit is not None and digit == expected
+        assert leading_digit_real(float(token)) == expected
 
 
 # ------------------------------------------------- shared digit table
@@ -296,7 +302,7 @@ def digit_runs(draw):
 @given(digit_runs())
 def test_int_route_reads_the_leading_digit_of_every_run(run):
     n, radix, k, r = run
-    assert leading_digit_int(n * radix**k + r, radix) == Digit(n, Base(radix))
+    assert leading_digit_int(n * radix**k + r, radix) == n
 
 
 @pytest.mark.parametrize("radix", [10, 16])
@@ -304,4 +310,4 @@ def test_int_route_at_twenty_thousand_digits(radix):
     power = radix**20000
     for n in range(1, radix):
         for r in (0, 1, power // 2, power - 1):
-            assert leading_digit_int(n * power + r, radix).value == n
+            assert leading_digit_int(n * power + r, radix) == n

@@ -183,6 +183,37 @@ def test_summary_invariants_are_enforced():
         summary_of((-1,) + (1,) * 8, total_read=7)
 
 
+@pytest.mark.parametrize(
+    "counts, total_read, skipped_zero, skipped_nonfinite",
+    [
+        ((1.7,) + (1,) * 8, 9, 0, 0),  # was truncated to 1
+        ((True,) + (1,) * 8, 9, 0, 0),
+        ((1,) * 9, 9.0, 0, 0),
+        ((1,) * 9, 8, -1, 0),
+        ((1,) * 9, 10, 0, True),
+    ],
+)
+def test_summary_takes_only_non_negative_int_counts(
+    counts, total_read, skipped_zero, skipped_nonfinite
+):
+    # each case balances total_read, so only the type or sign check stops it
+    with pytest.raises(UsageError, match="must be non-negative ints"):
+        summary_of(
+            counts,
+            total_read=total_read,
+            skipped_zero=skipped_zero,
+            skipped_nonfinite=skipped_nonfinite,
+        )
+
+
+def test_summary_coerces_an_int_base():
+    summary = SampleSummary(
+        base=10, counts=(1,) * 9, total_read=9, skipped_zero=0, skipped_nonfinite=0
+    )
+    assert summary.base == Base(10)
+    assert merge([summary, tally([5], 10)]).counts == (1, 1, 1, 1, 2, 1, 1, 1, 1)
+
+
 def test_summary_used_is_derived_from_counts():
     assert summary_of((1,) * 9, total_read=12, skipped_zero=2, skipped_nonfinite=1).used == 9
     with pytest.raises(TypeError):
@@ -282,7 +313,7 @@ def test_float_route_of_tally_and_extractor_follow_the_float_rule(case):
     radix, x = case
     expected = float_rule_digit(x, radix)
     one_hot = tuple(int(n == expected) for n in range(1, radix))
-    assert leading_digit_real(x, radix).value == expected
+    assert leading_digit_real(x, radix) == expected
     assert tally([x], radix).counts == one_hot
     if radix != 10:  # base 10 reads a string's printed digit instead
         assert tally([repr(x)], radix).counts == one_hot

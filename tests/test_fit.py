@@ -2,8 +2,10 @@
 
 import math
 import random
+import statistics
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from digitlaw.digits import Base
 from digitlaw.empirical import SampleSummary, empirical_distribution, tally
@@ -14,7 +16,14 @@ from digitlaw.errors import (
     UndefinedCorrelationError,
     UsageError,
 )
-from digitlaw.fit import chi_square, compare, mad, max_abs_dev, pearson_r
+from digitlaw.fit import (
+    CandidateScore,
+    chi_square,
+    compare,
+    mad,
+    max_abs_dev,
+    pearson_r,
+)
 from digitlaw.lawtheory import (
     DigitDistribution,
     arithmetic_mean_distribution,
@@ -111,6 +120,34 @@ def test_pearson_rejects_degenerate_inputs():
         pearson_r(benford(10), benford(16))
 
 
+@st.composite
+def distribution_pairs(draw):
+    """Two same-base distributions from non-negative weights, zeros included."""
+    radix = draw(st.integers(min_value=3, max_value=36))
+    pair = []
+    for _ in range(2):
+        weights = draw(
+            st.lists(st.floats(0.0, 1.0), min_size=radix - 1, max_size=radix - 1)
+        )
+        total = math.fsum(weights)
+        assume(total > 0.0)
+        pair.append(DigitDistribution(radix, tuple(w / total for w in weights)))
+    return pair
+
+
+@given(distribution_pairs())
+def test_pearson_agrees_with_the_statistics_module(pair):
+    a, b = pair
+    try:
+        expected = statistics.correlation(a.probabilities, b.probabilities)
+    except statistics.StatisticsError:
+        with pytest.raises(UndefinedCorrelationError):
+            pearson_r(a, b)
+        return
+    # statistics.correlation changed its arithmetic across Python versions
+    assert abs(pearson_r(a, b) - max(-1.0, min(1.0, expected))) <= 4 * math.ulp(1.0)
+
+
 def test_pearson_stays_inside_unit_interval():
     rng = random.Random(604)
     for _ in range(200):
@@ -202,6 +239,28 @@ def test_mad_matches_direct_means_and_never_exceeds_max():
         assert mad(a, b) == pytest.approx(sum(gaps) / 9, rel=1e-12)
         assert max_abs_dev(a, b) == pytest.approx(max(gaps), rel=1e-15)
         assert max_abs_dev(a, b) >= mad(a, b)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("r", math.nan),
+        ("r", 1.5),
+        ("chi_square", math.nan),
+        ("chi_square", -1.0),
+        ("mad", math.nan),
+        ("max_abs_dev", math.nan),
+        ("max_abs_dev", 0.001),
+    ],
+)
+def test_candidate_score_rejects_nan_and_out_of_range_statistics(field, bad):
+    fields = dict(
+        label="benford", r=0.5, chi_square=1.0, chi_square_dof=8, mad=0.01, max_abs_dev=0.02
+    )
+    CandidateScore(**fields)
+    fields[field] = bad
+    with pytest.raises(UsageError):
+        CandidateScore(**fields)
 
 
 def test_mad_requires_matching_bases():

@@ -145,6 +145,16 @@ def test_delimited_structural_error_counts_every_data_line():
     )
 
 
+@pytest.mark.parametrize("column", [3, 2**32 - 1, 2**32, 2**64])
+def test_a_column_past_every_line_is_structural_at_any_size(column):
+    # 2**32 and up are repeat counts that Python's re cannot compile
+    with pytest.raises(StructuralError) as caught:
+        parse(InputSpec(format="delimited", column=column), "1,2\n3,4\n")
+    assert str(caught.value) == (
+        f"column {column} missing from every one of the 2 data line(s)"
+    )
+
+
 def test_delimited_column_absent_everywhere_is_structural():
     with pytest.raises(StructuralError):
         parse(InputSpec(format="delimited", column=5), "1,2\n3,4\n")
@@ -290,7 +300,7 @@ def test_token_round_trip_matches_both_extractors():
     for value, token in records:
         token_digit = leading_digit_text(token)
         assert token_digit is not None
-        assert token_digit.value == leading_digit_real(value, 10).value
+        assert token_digit == leading_digit_real(value, 10)
 
 
 def test_record_token_reparses_to_the_stored_value():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitlaw.digits import Base, Digit
+from digitlaw.digits import Base, leading_digit_int
 from digitlaw.errors import CapacityError, DigitLawError, DomainError
 from digitlaw.lawtheory import (
     INT_CAPACITY,
@@ -200,12 +200,16 @@ def test_extremal_frequency_rejects_bad_kind():
 
 def test_extremal_record_validates_its_own_consistency():
     with pytest.raises(DomainError):
-        ExtremalFrequency(
-            Digit(1, Base(10)), 2, KIND_MIN, Fraction(1, 9), location_m=5
-        )
+        ExtremalFrequency(1, 2, KIND_MIN, Fraction(1, 9), location_m=5)
     # a bool k lands on the k=1 location, so only the type check stops it
     with pytest.raises(DomainError):
-        ExtremalFrequency(Digit(1, Base(10)), True, KIND_MIN, Fraction(1, 9), 9)
+        ExtremalFrequency(1, True, KIND_MIN, Fraction(1, 9), 9)
+    # the location is checked against the record's own base
+    assert ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15, 16).base == Base(16)
+    with pytest.raises(DomainError):
+        ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15)
+    with pytest.raises(DomainError):
+        ExtremalFrequency(10, 1, KIND_MIN, Fraction(1, 9), 99)
 
 
 # ------------------------------------------------------------- limits
@@ -220,6 +224,14 @@ def test_limit_frequency_reference_values():
     assert limit_frequency(4, KIND_MAX, 16) == Fraction(16, 75)
     with pytest.raises(DomainError):
         limit_frequency(1, "median")
+
+
+def test_a_digit_is_a_plain_int_whatever_base_it_was_read_in():
+    # the base argument alone states the radix
+    assert limit_frequency(leading_digit_int(0xA5, 16), KIND_MIN, 16) == Fraction(1, 150)
+    assert limit_frequency(leading_digit_int(0x35, 16), KIND_MIN) == Fraction(1, 27)
+    with pytest.raises(DomainError, match=r"in \[1, 9\] for base 10, got 10"):
+        limit_frequency(leading_digit_int(0xA5, 16), KIND_MIN)
 
 
 def test_extrema_converge_monotonically_to_their_limits():
@@ -519,6 +531,11 @@ def test_distribution_rejects_wrong_shape_and_mass():
         DigitDistribution(Base(10), (1.2,) + (-0.025,) * 8)
     with pytest.raises(DomainError):
         DigitDistribution(Base(10), tuple([0.1] * 9))  # sums to 0.9
+
+
+def test_distribution_coerces_an_int_base():
+    assert DigitDistribution(10, tuple([1 / 9] * 9)).base == Base(10)
+    assert bounds_check(DigitDistribution(3, (0.5, 0.5))).all_within
 
 
 def test_distribution_rejects_nan_probabilities():
