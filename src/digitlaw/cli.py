@@ -114,7 +114,7 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         if args.output == "json":
             chunks = _render_json(report)
         else:
-            chunks = (line + "\n" for line in _RENDERERS[args.command](report))
+            chunks = _RENDERERS[args.command](report)
         _emit(chunks, args.out)
     except (DigitLawError, OSError, ArithmeticError) as exc:
         if isinstance(exc, BrokenPipeError) and args.out is None:
@@ -500,28 +500,44 @@ def _json_points(points: Iterable[tuple]) -> Iterator[str]:
     yield "\n        ]" if separator else "]"
 
 
+# A table cell's %-conversion, with {} where its width flag goes.
+# _SIG4_CELL prints a float as _sig4 does.
+_TEXT_CELL = "%{}s"
+_SIG4_CELL = "%#{}.4g"
+# Rows per written piece.  A few KB of text at most: much larger pieces
+# lift the peak resident set of a long sweep.
+_ROWS_PER_WRITE = 128
+
+
 def _table(
-    indent: str, columns: Sequence[tuple[str, int]], rows: Iterable[tuple]
+    indent: str, columns: Sequence[tuple], rows: Iterable[tuple]
 ) -> Iterator[str]:
     """A header line plus one line per row, each cell left-aligned.
 
-    columns holds (header, width) pairs.  Every column but the last is
+    columns holds (header, width) pairs, or (header, width, conversion)
+    for a cell not printed by _TEXT_CELL.  Every column but the last is
     padded to its width; the last is not, so no line ends in blanks.
+    Each row is one % operation, and the lines come _ROWS_PER_WRITE to
+    a newline-terminated piece.
     """
-    fmt = indent + "".join(f"%-{width}s" for _, width in columns[:-1]) + "%s"
-    yield fmt % tuple(header for header, _ in columns)
-    for row in rows:
-        yield fmt % row
+    pads = [f"-{column[1]}" for column in columns[:-1]] + [""]
+    conversions = [column[2] if len(column) > 2 else _TEXT_CELL for column in columns]
+    head = indent + "".join(_TEXT_CELL.format(pad) for pad in pads) + "\n"
+    fmt = indent + "".join(map(str.format, conversions, pads)) + "\n"
+    yield head % tuple(column[0] for column in columns)
+    lines = map(fmt.__mod__, rows)
+    while piece := "".join(islice(lines, _ROWS_PER_WRITE)):
+        yield piece
 
 
 def _render_theory(report: dict) -> Iterator[str]:
     laws = report["result"]["laws"]
-    columns = [("n", 4)] + [(law["label"], 12) for law in laws]
+    columns = [("n", 4)] + [(law["label"], 12, _SIG4_CELL) for law in laws]
     rows = (
-        (n, *(_sig4(law["probabilities"][n - 1]) for law in laws))
+        (n, *(law["probabilities"][n - 1] for law in laws))
         for n in report["result"]["digits"]
     )
-    yield f"first-digit laws, base {report['base']}"
+    yield f"first-digit laws, base {report['base']}\n"
     yield from _table("", columns, rows)
 
 
@@ -529,26 +545,26 @@ def _render_sweep(report: dict) -> Iterator[str]:
     result = report["result"]
     yield (
         f"leading-digit frequency over {{1..m}}, base {report['base']}, "
-        f"m up to {result['m_max']}"
+        f"m up to {result['m_max']}\n"
     )
-    columns = [("m", 10), ("count", 10), ("exact", 16), ("value", 0)]
+    columns = [("m", 10), ("count", 10), ("exact", 16), ("value", 0, _SIG4_CELL)]
     for i, series in enumerate(result["series"]):
         if i:
-            yield ""
-        yield f"digit {series['digit']}:"
+            yield "\n"
+        yield f"digit {series['digit']}:\n"
         rows = (
-            (m, count, f"{num}/{den}", _sig4(value))
+            (m, count, f"{num}/{den}", value)
             for m, count, num, den, value in series["points"]
         )
         yield from _table("  ", columns, rows)
         for kind in ("minima", "maxima"):
-            yield f"  {kind}:"
+            yield f"  {kind}:\n"
             if not series[kind]:
-                yield "    (none in range)"
+                yield "    (none in range)\n"
             for e in series[kind]:
                 yield (
                     f"    k={e['k']}  m={e['m']}  "
-                    f"{e['num']}/{e['den']} = {_sig4(e['value'])}"
+                    f"{e['num']}/{e['den']} = {_sig4(e['value'])}\n"
                 )
 
 
@@ -557,12 +573,14 @@ def _fraction_cell(fr: dict) -> str:
 
 
 def _render_bounds_block(doc: dict) -> Iterator[str]:
-    columns = [("n", 4), ("lower", 18), ("p", 12), ("upper", 18), ("within", 0)]
+    columns = [
+        ("n", 4), ("lower", 18), ("p", 12, _SIG4_CELL), ("upper", 18), ("within", 0)
+    ]
     rows = (
         (
             entry["digit"],
             _fraction_cell(entry["lower"]),
-            _sig4(entry["probability"]),
+            entry["probability"],
             _fraction_cell(entry["upper"]),
             "yes" if entry["within"] else "NO",
         )
@@ -570,7 +588,7 @@ def _render_bounds_block(doc: dict) -> Iterator[str]:
     )
     verdict = "all digits within limits" if doc["all_within"] else "limit violations present"
     yield from _table("  ", columns, rows)
-    yield f"  {verdict}"
+    yield f"  {verdict}\n"
 
 
 def _render_analyze(report: dict) -> Iterator[str]:
@@ -579,49 +597,49 @@ def _render_analyze(report: dict) -> Iterator[str]:
     empirical = result["empirical"]
     per_digit = zip(sample["counts"], empirical["fractions"], empirical["probabilities"])
     digit_rows = (
-        (n, count, f"{fr['num']}/{fr['den']}", _sig4(p))
+        (n, count, f"{fr['num']}/{fr['den']}", p)
         for n, (count, fr, p) in enumerate(per_digit, start=1)
     )
     candidate_columns = [
-        ("label", 10), ("r", 12), ("chi_square", 14), ("dof", 6), ("mad", 12),
-        ("max_abs_dev", 0),
+        ("label", 10), ("r", 12, _SIG4_CELL), ("chi_square", 14, _SIG4_CELL),
+        ("dof", 6), ("mad", 12, _SIG4_CELL), ("max_abs_dev", 0, _SIG4_CELL),
     ]
     candidate_rows = (
         (
             entry["label"],
-            _sig4(entry["r"]),
-            _sig4(entry["chi_square"]),
+            entry["r"],
+            entry["chi_square"],
             entry["chi_square_dof"],
-            _sig4(entry["mad"]),
-            _sig4(entry["max_abs_dev"]),
+            entry["mad"],
+            entry["max_abs_dev"],
         )
         for entry in result["candidates"]
     )
     yield (
         f"sample {sample['source']}: read {sample['total_read']}, "
         f"used {sample['used']}, skipped {sample['skipped_zero']} zero "
-        f"and {sample['skipped_nonfinite']} non-finite"
+        f"and {sample['skipped_nonfinite']} non-finite\n"
     )
-    yield "empirical first-digit frequencies:"
-    digit_columns = [("n", 4), ("count", 10), ("exact", 16), ("p", 0)]
+    yield "empirical first-digit frequencies:\n"
+    digit_columns = [("n", 4), ("count", 10), ("exact", 16), ("p", 0, _SIG4_CELL)]
     yield from _table("  ", digit_columns, digit_rows)
-    yield "candidates:"
+    yield "candidates:\n"
     yield from _table("  ", candidate_columns, candidate_rows)
-    yield f"best by r: {result['best_by_r']}"
-    yield "bound check of the sample:"
+    yield f"best by r: {result['best_by_r']}\n"
+    yield "bound check of the sample:\n"
     yield from _render_bounds_block(result["bounds"])
     diagnostics = report["diagnostics"]
     if diagnostics:
-        yield f"diagnostics ({len(diagnostics)}):"
+        yield f"diagnostics ({len(diagnostics)}):\n"
         for d in diagnostics:
-            yield f"  {d['source']} line {d['line']}: {d['message']}"
+            yield f"  {d['source']} line {d['line']}: {d['message']}\n"
 
 
 def _render_bounds(report: dict) -> Iterator[str]:
     result = report["result"]
     yield (
         f"per-digit probability limits, base {report['base']}, "
-        f"distribution {result['label']}"
+        f"distribution {result['label']}\n"
     )
     yield from _render_bounds_block(result["bounds"])
 

@@ -22,7 +22,9 @@ from digitlaw.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    _SIG4_CELL,
     _json_points,
+    _table,
     execute,
 )
 from digitlaw.lawtheory import (
@@ -257,12 +259,78 @@ def test_sweep_json_agrees_with_brute_force_enumeration(data):
             assert beats(here, Fraction(counts[m + 1], m + 1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_table_agrees_with_brute_force_enumeration(data):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    if data.draw(st.booleans(), label="all_digits"):
+        digits, which = range(1, radix), ["--all-digits"]
+    else:
+        n = data.draw(st.integers(1, radix - 1), label="n")
+        digits, which = [n], ["--digit", str(n)]
+    m_max = data.draw(st.integers(1, 1500), label="m_max")
+    argv = ["sweep", *which, "--m-max", str(m_max), "--base", str(radix)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert execute(argv).exit_code == EXIT_OK
+    lines = out.getvalue().splitlines()
+    assert [line for line in lines if line.endswith(" ")] == []
+    assert lines.count("  m         count     exact           value") == len(digits)
+    tables = []
+    for line in lines:
+        if line.startswith("digit "):
+            tables.append((line, []))
+        elif line[2:3].isdigit():  # a data row; extremum lines are indented 4
+            tables[-1][1].append(tuple(line.split()))
+
+    def rows(n):
+        counts = brute_counts(n, radix, m_max)
+        for m in range(1, m_max + 1):
+            g = math.gcd(counts[m], m)
+            value = format(counts[m] / m, "#.4g")
+            yield str(m), str(counts[m]), f"{counts[m] // g}/{m // g}", value
+
+    assert tables == [(f"digit {n}:", list(rows(n))) for n in digits]
+
+
+def reference_table(indent, columns, rows):
+    """A table as it was printed a line at a time, with format(x, "#.4g")
+    for the cells of a column that names a conversion."""
+    fmt = indent + "".join(f"%-{column[1]}s" for column in columns[:-1]) + "%s"
+    yield fmt % tuple(column[0] for column in columns)
+    for row in rows:
+        yield fmt % tuple(
+            format(cell, "#.4g") if len(column) > 2 else cell
+            for cell, column in zip(row, columns)
+        )
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 127, 128, 129, 257])
+def test_table_pieces_match_line_at_a_time_rendering(n_rows):
+    columns = [
+        ("n", 6), ("ratio", 12, _SIG4_CELL), ("exact", 10), ("scaled", 0, _SIG4_CELL)
+    ]
+    specials = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1.7976931348623157e308]
+    scaled = specials + [-(10.0 ** (i % 60 - 30)) for i in range(len(specials), n_rows)]
+    rows = [(i, i / 7, f"{i}/7", scaled[i]) for i in range(n_rows)]
+    pieces = list(_table("  ", columns, iter(rows)))
+    expected = "".join(line + "\n" for line in reference_table("  ", columns, rows))
+    assert "".join(pieces) == expected
+    assert all(piece.endswith("\n") for piece in pieces)
+    # the header, then the rows 128 to a piece
+    full, rest = divmod(n_rows, 128)
+    sizes = [1] + [128] * full + ([rest] if rest else [])
+    assert [piece.count("\n") for piece in pieces] == sizes
+
+
 def test_an_empty_point_series_prints_as_the_encoder_prints_it():
     assert "".join(_json_points([])) == json.dumps({"points": []})[1:-1]
 
 
-@pytest.mark.parametrize("output", ["json", "table"])
-def test_sweep_holds_no_per_point_memory(output):
+@pytest.mark.parametrize(
+    "output, bound", [("json", 2_000_000), ("table", 400_000)], ids=["json", "table"]
+)
+def test_sweep_holds_no_per_point_memory(output, bound):
     argv = ["sweep", "--digit", "1", "--m-max", "200000", "--output", output]
     tracemalloc.start()
     try:
@@ -271,7 +339,7 @@ def test_sweep_holds_no_per_point_memory(output):
     finally:
         tracemalloc.stop()
     assert outcome.exit_code == EXIT_OK
-    assert peak < 2_000_000
+    assert peak < bound
 
 
 # ------------------------------------------------------------- analyze
@@ -729,7 +797,11 @@ def test_unknown_subcommand_and_flags_exit_two(capsys):
 
 
 def test_out_flag_writes_the_same_text_as_stdout(tmp_path, capsys):
-    for argv in (["theory", "--base", "8"], ["sweep", "--all-digits", "--m-max", "30"]):
+    for argv in (
+        ["theory", "--base", "8"],
+        ["sweep", "--all-digits", "--m-max", "30"],
+        ["sweep", "--all-digits", "--base", "3", "--m-max", "400"],  # pieces of rows
+    ):
         outcome = execute(argv)
         stdout_text = capsys.readouterr().out
         assert outcome.exit_code == EXIT_OK
