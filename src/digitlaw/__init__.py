@@ -9,8 +9,7 @@ dataset parsing.  The `digitlaw` console script fronts all of it.
 __version__ = "0.1.0"
 
 from .digits import (
-    Base,
-    as_base,
+    check_base,
     check_digit,
     leading_digit_int,
     leading_digit_real,
@@ -51,8 +50,7 @@ from .lawtheory import (
 
 __all__ = [
     "__version__",
-    "Base",
-    "as_base",
+    "check_base",
     "check_digit",
     "leading_digit_int",
     "leading_digit_real",

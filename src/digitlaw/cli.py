@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .digits import MAX_BASE, MIN_BASE, Base, as_base, check_digit
+from .digits import MAX_BASE, MIN_BASE, check_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
 from .errors import CapacityError, DigitLawError, DomainError, UsageError
 from .fit import FitReport, compare
@@ -57,7 +57,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BOUNDS = 3
 
-_LAWS: dict[str, Callable[[Base], DigitDistribution]] = {
+_LAWS: dict[str, Callable[[int], DigitDistribution]] = {
     "benford": benford,
     "geom": geometric_mean_distribution,
     "arith": arithmetic_mean_distribution,
@@ -120,7 +120,11 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         if isinstance(exc, BrokenPipeError) and args.out is None:
             # The reader has gone: say nothing, and let the flush at exit
             # write what is still buffered to devnull.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         else:
             print(f"digitlaw: {exc}", file=sys.stderr)
         report["diagnostics"] = [{"message": str(exc)}]
@@ -247,12 +251,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _handle_theory(args) -> tuple[dict, dict, list, int]:
-    b = as_base(args.base)
     laws = [
-        {"label": name, "probabilities": list(law(b).probabilities)}
+        {"label": name, "probabilities": list(law(args.base).probabilities)}
         for name, law in _LAWS.items()
     ]
-    result = {"digits": list(range(1, b.value)), "laws": laws}
+    result = {"digits": list(range(1, args.base)), "laws": laws}
     return {}, result, [], EXIT_OK
 
 
@@ -299,7 +302,7 @@ def _parse_candidates(text: str) -> list[str]:
     return names
 
 
-def _read_inputs(args, spec: InputSpec, base: Base):
+def _read_inputs(args, spec: InputSpec, base: int):
     summaries = []
     diagnostics: list[dict] = []
     for label in args.input or [_STDIN_LABEL]:
@@ -371,7 +374,6 @@ def _fit_doc(fit: FitReport) -> dict:
 
 
 def _handle_analyze(args) -> tuple[dict, dict, list, int]:
-    b = as_base(args.base)
     names = _parse_candidates(args.candidates)
     try:
         spec = InputSpec(
@@ -379,8 +381,8 @@ def _handle_analyze(args) -> tuple[dict, dict, list, int]:
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from None
-    summary, diagnostics = _read_inputs(args, spec, b)
-    fit = compare(summary, [_LAWS[name](b) for name in names])
+    summary, diagnostics = _read_inputs(args, spec, args.base)
+    fit = compare(summary, [_LAWS[name](args.base) for name in names])
     params = {
         "inputs": list(args.input) if args.input else [_STDIN_LABEL],
         "format": args.format,
@@ -396,21 +398,20 @@ def _handle_analyze(args) -> tuple[dict, dict, list, int]:
 
 
 def _handle_bounds(args) -> tuple[dict, dict, list, int]:
-    b = as_base(args.base)
     if args.dist is not None:
-        dist = _LAWS[args.dist](b)
+        dist = _LAWS[args.dist](args.base)
     else:
         pieces = [part.strip() for part in args.probs.split(",") if part.strip()]
-        if len(pieces) != b.value - 1:
+        if len(pieces) != args.base - 1:
             raise UsageError(
-                f"--probs needs {b.value - 1} values for base {b.value}, "
+                f"--probs needs {args.base - 1} values for base {args.base}, "
                 f"got {len(pieces)}"
             )
         try:
             probs = tuple(float(part) for part in pieces)
         except ValueError as exc:
             raise UsageError(f"--probs: {exc}") from None
-        dist = DigitDistribution(b, probs, LABEL_CUSTOM)
+        dist = DigitDistribution(args.base, probs, LABEL_CUSTOM)
     report = bounds_check(dist)
     params = {"dist": args.dist, "probs": None if args.probs is None else list(dist.probabilities)}
     result = {

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ParseError
@@ -40,44 +39,33 @@ NUMERAL_RE = re.compile(
 DECIMAL_INDEX = {c: i for i, c in enumerate("123456789")}
 
 
-@dataclass(frozen=True)
-class Base:
-    """Radix of the positional system, an integer in [2, 36]."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise DomainError(f"base must be an integer, got {self.value!r}")
-        if not MIN_BASE <= self.value <= MAX_BASE:
-            raise DomainError(
-                f"base must be in [{MIN_BASE}, {MAX_BASE}], got {self.value}"
-            )
+def check_base(base: int) -> int:
+    """base, once checked to be a radix: an int in [MIN_BASE, MAX_BASE]."""
+    if not isinstance(base, int) or isinstance(base, bool):
+        raise DomainError(f"base must be an integer, got {base!r}")
+    if not MIN_BASE <= base <= MAX_BASE:
+        raise DomainError(f"base must be in [{MIN_BASE}, {MAX_BASE}], got {base}")
+    return base
 
 
-def as_base(base: Base | int) -> Base:
-    """Coerce an int to a Base; pass a Base through."""
-    return base if isinstance(base, Base) else Base(base)
-
-
-def check_digit(n: int, base: Base | int) -> int:
+def check_digit(n: int, base: int) -> int:
     """n, once checked to be a leading digit of the base: an int in [1, base - 1]."""
-    radix = as_base(base).value
+    check_base(base)
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"digit must be an integer, got {n!r}")
-    if not 1 <= n <= radix - 1:
+    if not 1 <= n <= base - 1:
         raise DomainError(
-            f"digit must be in [1, {radix - 1}] for base {radix}, got {n}"
+            f"digit must be in [1, {base - 1}] for base {base}, got {n}"
         )
     return n
 
 
-def leading_digit_int(m: int, base: Base | int = 10) -> int:
+def leading_digit_int(m: int, base: int = 10) -> int:
     """Most significant digit of a positive integer written in the base.
 
     Integer arithmetic only, so the result is exact at any width.
     """
-    radix = as_base(base).value
+    radix = check_base(base)
     if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
         raise DomainError(f"need a positive integer, got {m!r}")
     if m >= radix:
@@ -114,13 +102,13 @@ def float_digit_rule(radix: int) -> Callable[[float], int]:
     return digit
 
 
-def leading_digit_real(x: float, base: Base | int = 10) -> int:
+def leading_digit_real(x: float, base: int = 10) -> int:
     """First significant digit of a nonzero finite real in the base.
 
     |x| is read by float_digit_rule(base): scaled into [1, base) by the
     radix, carried to digit 1 within a few ulps under the radix.
     """
-    radix = as_base(base).value
+    radix = check_base(base)
     try:
         s = abs(float(x))
     except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digits import DECIMAL_INDEX, Base, as_base, float_digit_rule, leading_digit_int
+from .digits import DECIMAL_INDEX, check_base, float_digit_rule, leading_digit_int
 from .errors import EmptySampleError, UsageError
 from .lawtheory import LABEL_EMPIRICAL, DigitDistribution
 
@@ -31,10 +31,10 @@ class SampleSummary:
         total_read = used + skipped_zero + skipped_nonfinite
 
     where used = sum(counts) is derived, not stored.  Every count is a
-    non-negative int; an int base is coerced to a Base.
+    non-negative int.
     """
 
-    base: Base
+    base: int
     counts: tuple[int, ...]
     total_read: int
     skipped_zero: int
@@ -42,14 +42,11 @@ class SampleSummary:
     source: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_base(self.base))
+        n_digits = check_base(self.base) - 1
         counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
-        if len(counts) != self.base.value - 1:
-            raise UsageError(
-                f"base {self.base.value} needs {self.base.value - 1} counts, "
-                f"got {len(counts)}"
-            )
+        if len(counts) != n_digits:
+            raise UsageError(f"base {self.base} needs {n_digits} counts, got {len(counts)}")
         tallies = counts + (self.total_read, self.skipped_zero, self.skipped_nonfinite)
         if not all(type(c) is int and c >= 0 for c in tallies):
             raise UsageError("counts, total_read and skip counts must be non-negative ints")
@@ -63,7 +60,7 @@ class SampleSummary:
 
 def tally(
     values: Iterable[float | str],
-    base: Base | int = 10,
+    base: int = 10,
     source: str = "",
 ) -> SampleSummary:
     """Count leading digits over a finite stream of values.
@@ -85,10 +82,9 @@ def tally(
     once it is exhausted.  Items are consumed one at a time and none is
     kept.
     """
-    b = as_base(base)
-    counts = [0] * (b.value - 1)
-    decimal_index = DECIMAL_INDEX.get if b.value == 10 else None
-    float_digit = float_digit_rule(b.value)
+    counts = [0] * (check_base(base) - 1)
+    decimal_index = DECIMAL_INDEX.get if base == 10 else None
+    float_digit = float_digit_rule(base)
     total_read = 0
     skipped_zero = 0
     skipped_nonfinite = 0
@@ -104,7 +100,7 @@ def tally(
             if item == 0:
                 skipped_zero += 1
             else:
-                counts[leading_digit_int(abs(item), b) - 1] += 1
+                counts[leading_digit_int(abs(item), base) - 1] += 1
             continue
         numeric = abs(float(item))
         if not math.isfinite(numeric):
@@ -114,7 +110,7 @@ def tally(
         else:
             counts[float_digit(numeric) - 1] += 1
     return SampleSummary(
-        base=b,
+        base=base,
         counts=tuple(counts),
         total_read=total_read,
         skipped_zero=skipped_zero,
@@ -130,15 +126,15 @@ def merge(summaries: Sequence[SampleSummary]) -> SampleSummary:
     """
     if not summaries:
         raise UsageError("merge needs at least one summary")
-    b = summaries[0].base
-    if any(s.base != b for s in summaries):
+    base = summaries[0].base
+    if any(s.base != base for s in summaries):
         raise UsageError("cannot merge summaries with different bases")
-    counts = [0] * (b.value - 1)
+    counts = [0] * (base - 1)
     for s in summaries:
         for i, c in enumerate(s.counts):
             counts[i] += c
     return SampleSummary(
-        base=b,
+        base=base,
         counts=tuple(counts),
         total_read=sum(s.total_read for s in summaries),
         skipped_zero=sum(s.skipped_zero for s in summaries),

@@ -64,7 +64,7 @@ def _require_same_base(
     a: DigitDistribution | SampleSummary, b: DigitDistribution
 ) -> None:
     if a.base != b.base:
-        raise UsageError(f"bases differ: {a.base.value} vs {b.base.value}")
+        raise UsageError(f"bases differ: {a.base} vs {b.base}")
 
 
 def pearson_r(emp: DigitDistribution, theo: DigitDistribution) -> float:
@@ -77,7 +77,7 @@ def pearson_r(emp: DigitDistribution, theo: DigitDistribution) -> float:
     the same bits on every Python version.
     """
     _require_same_base(emp, theo)
-    if emp.base.value == 2:
+    if emp.base == 2:
         raise DegenerateBaseError(
             "correlation is undefined in base 2 (one digit, one point)"
         )
@@ -116,7 +116,7 @@ def chi_square(summary: SampleSummary, theo: DigitDistribution) -> tuple[float, 
                 f"{used} values"
             )
         statistic += (observed - expected) ** 2 / expected
-    return statistic, theo.base.value - 2
+    return statistic, theo.base - 2
 
 
 def mad(emp: DigitDistribution, theo: DigitDistribution) -> float:
@@ -149,8 +149,8 @@ def compare(
     for cand in candidates:
         if cand.base != summary.base:
             raise UsageError(
-                f"candidate {cand.label!r} uses base {cand.base.value}, "
-                f"sample uses {summary.base.value}"
+                f"candidate {cand.label!r} uses base {cand.base}, "
+                f"sample uses {summary.base}"
             )
     emp = empirical_distribution(summary)
     entries = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .digits import Base, as_base, check_digit
+from .digits import check_base, check_digit
 from .errors import CapacityError, DomainError
 
 KIND_MIN = "min"
@@ -54,18 +54,17 @@ class DigitDistribution:
     strictly decreasing profile whenever the base has more than one digit.
     """
 
-    base: Base
+    base: int
     probabilities: tuple[float, ...]
     label: str = LABEL_CUSTOM
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_base(self.base))
+        n_digits = check_base(self.base) - 1
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "probabilities", probs)
-        n_digits = self.base.value - 1
         if len(probs) != n_digits:
             raise DomainError(
-                f"base {self.base.value} needs {n_digits} probabilities, "
+                f"base {self.base} needs {n_digits} probabilities, "
                 f"got {len(probs)}"
             )
         if not all(0.0 <= p <= 1.0 for p in probs):
@@ -73,7 +72,7 @@ class DigitDistribution:
         total = math.fsum(probs)
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
-        if self.label in _MONOTONE_LABELS and self.base.value >= 3:
+        if self.label in _MONOTONE_LABELS and self.base >= 3:
             if any(a <= b for a, b in zip(probs, probs[1:])):
                 raise DomainError(
                     f"{self.label} probabilities must decrease strictly in n"
@@ -93,16 +92,15 @@ class ExtremalFrequency:
     kind: str
     value: Fraction
     location_m: int
-    base: Base = Base(10)
+    base: int = 10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_base(self.base))
         check_digit(self.digit, self.base)
         _require_kind(self.kind)
         _require_positive("k", self.k)
         if not 0 < self.value <= 1:
             raise DomainError(f"extremal frequency {self.value} outside (0, 1]")
-        if self.location_m != _location(self.digit, self.k, self.kind, self.base.value):
+        if self.location_m != _location(self.digit, self.k, self.kind, self.base):
             raise DomainError(
                 f"location {self.location_m} inconsistent with "
                 f"n={self.digit}, k={self.k}, kind={self.kind}"
@@ -117,7 +115,10 @@ class DigitBounds:
     lower: Fraction
     probability: float
     upper: Fraction
-    within: bool
+
+    @property
+    def within(self) -> bool:
+        return float(self.lower) <= self.probability <= float(self.upper)
 
 
 @dataclass(frozen=True)
@@ -158,33 +159,31 @@ def _check_capacity(quantity: int, context: str) -> int:
     return quantity
 
 
-def benford(base: Base | int = 10) -> DigitDistribution:
+def benford(base: int = 10) -> DigitDistribution:
     """Logarithmic first-digit law P(n) = log_N(1 + 1/n).
 
     In base 2 this is the single entry P(1) = 1: every binary numeral
     starts with 1.
     """
-    b = as_base(base)
-    log_radix = math.log(b.value)
-    probs = tuple(math.log1p(1.0 / n) / log_radix for n in range(1, b.value))
-    return DigitDistribution(b, probs, LABEL_BENFORD)
+    log_radix = math.log(check_base(base))
+    probs = tuple(math.log1p(1.0 / n) / log_radix for n in range(1, base))
+    return DigitDistribution(base, probs, LABEL_BENFORD)
 
 
-def limit_frequency(n: int, kind: str, base: Base | int = 10) -> Fraction:
+def limit_frequency(n: int, kind: str, base: int = 10) -> Fraction:
     """Limit of the extremal frequencies as k grows without bound.
 
     min -> 1/((N-1) n), max -> N/((N-1) (n+1)), in lowest terms.
     """
-    radix = as_base(base).value
-    check_digit(n, radix)
+    check_digit(n, base)
     _require_kind(kind)
     if kind == KIND_MIN:
-        return Fraction(1, (radix - 1) * n)
-    return Fraction(radix, (radix - 1) * (n + 1))
+        return Fraction(1, (base - 1) * n)
+    return Fraction(base, (base - 1) * (n + 1))
 
 
 def extremal_frequency(
-    n: int, k: int, kind: str, base: Base | int = 10
+    n: int, k: int, kind: str, base: int = 10
 ) -> ExtremalFrequency:
     """Exact value and location of the k-th successive extremum.
 
@@ -198,48 +197,44 @@ def extremal_frequency(
     ones over the all-(N-1) tail that precedes the next block of leading
     digit n.  tests/test_lawtheory.py checks that the two forms agree.
     """
-    b = as_base(base)
-    check_digit(n, b)
+    check_digit(n, base)
     _require_kind(kind)
     _require_positive("k", k)
-    radix = b.value
-    context = f"extremal_frequency(n={n}, k={k}, kind={kind}, base={radix})"
+    context = f"extremal_frequency(n={n}, k={k}, kind={kind}, base={base})"
     # Only the location is capped; the closed form's terms are exact ints
     # of any size.  Past k = 63 every location exceeds the cap.
     if k > 63:
-        raise CapacityError(f"{context}: {radix}**{k} exceeds 2**63 - 1")
-    location = _check_capacity(_location(n, k, kind, radix), context)
+        raise CapacityError(f"{context}: {base}**{k} exceeds 2**63 - 1")
+    location = _check_capacity(_location(n, k, kind, base), context)
     width = k if kind == KIND_MIN else k + 1
-    closed = Fraction(radix**width - 1, (radix - 1) * location)
-    return ExtremalFrequency(n, k, kind, closed, location, b)
+    closed = Fraction(base**width - 1, (base - 1) * location)
+    return ExtremalFrequency(n, k, kind, closed, location, base)
 
 
-def arithmetic_mean_distribution(base: Base | int = 10) -> DigitDistribution:
+def arithmetic_mean_distribution(base: int = 10) -> DigitDistribution:
     """Normalized arithmetic mean of the two limit frequencies.
 
     P(n) is proportional to f_min(n) + f_max(n) of limit_frequency;
     weights are kept rational and rounded only on output.
     """
-    b = as_base(base)
     weights = [
-        limit_frequency(n, KIND_MIN, b) + limit_frequency(n, KIND_MAX, b)
-        for n in range(1, b.value)
+        limit_frequency(n, KIND_MIN, base) + limit_frequency(n, KIND_MAX, base)
+        for n in range(1, check_base(base))
     ]
     total = sum(weights)
     probs = tuple(float(w / total) for w in weights)
-    return DigitDistribution(b, probs, LABEL_ARITH)
+    return DigitDistribution(base, probs, LABEL_ARITH)
 
 
-def geometric_mean_distribution(base: Base | int = 10) -> DigitDistribution:
+def geometric_mean_distribution(base: int = 10) -> DigitDistribution:
     """Normalized geometric mean of the two limit frequencies.
 
     P(n) is proportional to 1/sqrt(n (n+1)).
     """
-    b = as_base(base)
-    weights = [1.0 / math.sqrt(n * (n + 1)) for n in range(1, b.value)]
+    weights = [1.0 / math.sqrt(n * (n + 1)) for n in range(1, check_base(base))]
     total = math.fsum(weights)
     probs = tuple(w / total for w in weights)
-    return DigitDistribution(b, probs, LABEL_GEOM)
+    return DigitDistribution(base, probs, LABEL_GEOM)
 
 
 def _runs(n: int, radix: int) -> Iterator[tuple[int, int]]:
@@ -250,41 +245,39 @@ def _runs(n: int, radix: int) -> Iterator[tuple[int, int]]:
         start, width = start * radix, width * radix
 
 
-def leading_digit_count(n: int, m: int, base: Base | int = 10) -> int:
+def leading_digit_count(n: int, m: int, base: int = 10) -> int:
     """Exact count of integers in [1, m] whose leading digit is n.
 
     Sums the complete and partial _runs clipped to [1, m]; equals
     brute-force enumeration of the segment.
     """
-    radix = as_base(base).value
-    check_digit(n, radix)
+    check_digit(n, base)
     _require_positive("m", m)
-    _check_capacity(m, f"leading_digit_count(n={n}, m={m}, base={radix})")
+    _check_capacity(m, f"leading_digit_count(n={n}, m={m}, base={base})")
     count = 0
-    for start, stop in _runs(n, radix):
+    for start, stop in _runs(n, base):
         if start > m:
             return count
         count += min(stop, m + 1) - start
 
 
-def exact_frequency(n: int, m: int, base: Base | int = 10) -> Fraction:
+def exact_frequency(n: int, m: int, base: int = 10) -> Fraction:
     """Frequency count(n, m) / m as an exact rational in lowest terms."""
     return Fraction(leading_digit_count(n, m, base), m)
 
 
 def frequency_series(
-    n: int, m_max: int, base: Base | int = 10
+    n: int, m_max: int, base: int = 10
 ) -> Iterator[tuple[int, int, int, int, float]]:
     """(m, count, num, den, value) for m = 1..m_max, made one O(1) point at a time.
 
     count is leading_digit_count(n, m), num/den is count/m in lowest terms and
     value its float.  The arguments are checked at the call; no point is kept.
     """
-    radix = as_base(base).value
-    check_digit(n, radix)
+    check_digit(n, base)
     _require_positive("m_max", m_max)
-    _check_capacity(m_max, f"frequency_series(n={n}, m_max={m_max}, base={radix})")
-    return _series(n, radix, m_max)
+    _check_capacity(m_max, f"frequency_series(n={n}, m_max={m_max}, base={base})")
+    return _series(n, base, m_max)
 
 
 def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
@@ -305,39 +298,37 @@ def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
 
 
 def extrema_within(
-    n: int, m_max: int, base: Base | int = 10
+    n: int, m_max: int, base: int = 10
 ) -> tuple[ExtremalFrequency, ...]:
     """The extremal_frequency values located at m <= m_max, by k, min first.
 
     Base 2 has a constant frequency of 1, hence no extrema: the result is empty.
     """
-    b = as_base(base)
-    check_digit(n, b)
+    check_digit(n, base)
     _require_positive("m_max", m_max)
-    if b.value == 2:
+    if base == 2:
         return ()
     found = []
     # For N >= 3 the locations rise strictly in this order.
     for k in itertools.count(1):
         for kind in (KIND_MIN, KIND_MAX):
-            if _location(n, k, kind, b.value) > m_max:
+            if _location(n, k, kind, base) > m_max:
                 return tuple(found)
-            found.append(extremal_frequency(n, k, kind, b))
+            found.append(extremal_frequency(n, k, kind, base))
 
 
 def extremum_locations(
-    n: int, k_max: int, base: Base | int = 10
+    n: int, k_max: int, base: int = 10
 ) -> tuple[tuple[int, int], ...]:
     """Locations (m_min, m_max) of the first k_max successive extrema.
 
     They are the extrema_within the k_max-th maximum (none in base 2).  Past
     k = 64 every location is above the cap, so a walk that far already fails.
     """
-    b = as_base(base)
-    check_digit(n, b)
+    check_digit(n, base)
     _require_positive("k_max", k_max)
-    last = _location(n, min(k_max, 64), KIND_MAX, b.value)
-    locations = [e.location_m for e in extrema_within(n, last, b)]
+    last = _location(n, min(k_max, 64), KIND_MAX, base)
+    locations = [e.location_m for e in extrema_within(n, last, base)]
     return tuple(zip(locations[::2], locations[1::2]))
 
 
@@ -347,14 +338,13 @@ def bounds_check(dist: DigitDistribution) -> BoundsReport:
     The bounds come from limit_frequency.  Any first-digit probability
     over a restricted range must respect these limits even where the
     logarithmic law itself breaks down.
-    Probabilities are floats, so containment is judged against the
-    float-rounded bounds: a probability equal to a bound's nearest float
-    counts as within.
+    Probabilities are floats, so containment (DigitBounds.within) is
+    judged against the float-rounded bounds: a probability equal to a
+    bound's nearest float counts as within.
     """
     entries = []
     for n, p in enumerate(dist.probabilities, start=1):
         lower = limit_frequency(n, KIND_MIN, dist.base)
         upper = limit_frequency(n, KIND_MAX, dist.base)
-        within = float(lower) <= p <= float(upper)
-        entries.append(DigitBounds(n, lower, p, upper, within))
+        entries.append(DigitBounds(n, lower, p, upper))
     return BoundsReport(tuple(entries))

@@ -227,7 +227,7 @@ def test_criterion_06_probability_sandwich():
         for base in range(2, 17):
             for law in laws:
                 assert dl.bounds_check(law(base)).all_within, (law.__name__, base)
-        skewed = dl.DigitDistribution(dl.Base(10), (0.8,) + (0.025,) * 8)
+        skewed = dl.DigitDistribution(10, (0.8,) + (0.025,) * 8)
         report = dl.bounds_check(skewed)
         assert not report.all_within
         assert not report.entries[0].within

@@ -26,6 +26,7 @@ from digitlaw.cli import (
     _json_points,
     _table,
     execute,
+    main,
 )
 from digitlaw.lawtheory import (
     arithmetic_mean_distribution,
@@ -830,6 +831,65 @@ def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
         err = child.stderr.read()
     assert err == b""
     assert child.returncode == EXIT_FAILURE
+
+
+def _open_fds() -> set[int]:
+    fds = set()
+    for fd in range(1024):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        fds.add(fd)
+    return fds
+
+
+def test_a_closed_pipe_on_stdout_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        before = _open_fds()
+        code = main(["sweep", "--digit", "1", "--m-max", "20000"])
+        after = _open_fds()
+    assert code == EXIT_FAILURE
+    assert after == before
+
+
+# Every module digitlaw imports adds to each command's start-up time and
+# peak memory, which the benchmark measures per command; adding or dropping
+# one is a deliberate change to this set.  Read from the source, so that
+# what a given Python version's stdlib imports in turn does not matter.
+PACKAGE_IMPORTS = {
+    "__future__",
+    "argparse",
+    "contextlib",
+    "dataclasses",
+    "fractions",
+    "functools",
+    "io",
+    "itertools",
+    "json",
+    "math",
+    "os",
+    "re",
+    "sys",
+    "time",
+    "typing",
+}
+
+
+def test_the_package_imports_a_pinned_set_of_modules():
+    import digitlaw
+
+    imported = set()
+    for path in Path(digitlaw.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported == PACKAGE_IMPORTS
 
 
 def test_cli_imports_no_private_name_of_another_module():

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from digitlaw.digits import (
     NUMERAL_RE,
-    Base,
-    as_base,
+    check_base,
     check_digit,
     leading_digit_int,
     leading_digit_real,
@@ -56,36 +55,49 @@ def safe_significand(rng: random.Random, base: int) -> float:
             return s
 
 
-# ------------------------------------------------ Base and check_digit
+# ----------------------------------------- check_base and check_digit
 
 
 def test_base_accepts_the_full_range():
-    assert Base(2).value == 2
-    assert Base(36).value == 36
-    assert Base(10) == Base(10)
+    for base in range(2, 37):
+        checked = check_base(base)
+        assert checked == base and type(checked) is int
 
 
 @pytest.mark.parametrize("bad", [1, 0, -2, 37, 100, True, False, 10.0, "10"])
 def test_base_rejects_out_of_range_and_non_int(bad):
-    with pytest.raises(DomainError):
-        Base(bad)
+    if type(bad) is int:
+        message = f"base must be in [2, 36], got {bad}"
+    else:
+        message = f"base must be an integer, got {bad!r}"
+    with pytest.raises(DomainError) as info:
+        check_base(bad)
+    assert str(info.value) == message
 
 
 def test_digit_range_is_one_to_base_minus_one():
-    assert check_digit(1, Base(10)) == 1
-    assert check_digit(9, Base(10)) == 9
-    assert check_digit(35, Base(36)) == 35
+    assert check_digit(1, 10) == 1
+    assert check_digit(9, 10) == 9
+    assert check_digit(35, 36) == 35
     for bad in (0, 10, -1, True, 1.0, "1"):
         with pytest.raises(DomainError):
-            check_digit(bad, Base(10))
+            check_digit(bad, 10)
     message = r"^digit must be in \[1, 9\] for base 10, got 12$"
     with pytest.raises(DomainError, match=message):
         check_digit(12, 10)
 
 
-def test_coercers_accept_ints_and_reject_mismatched_bases():
-    assert as_base(7) == Base(7)
-    assert as_base(Base(7)) == Base(7)
+def test_the_radix_has_one_public_form():
+    import digitlaw
+
+    assert "check_base" in digitlaw.__all__
+    assert digitlaw.check_base is check_base
+    for gone in ("Base", "as_base"):
+        assert gone not in digitlaw.__all__
+        assert not hasattr(digitlaw, gone)
+
+
+def test_checkers_accept_ints_and_reject_mismatched_bases():
     assert check_digit(3, 10) == 3
     # a digit is a plain int, checked only against the base it is given
     assert check_digit(leading_digit_int(0xA5, 16), 16) == 10

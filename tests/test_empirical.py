@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from digitlaw.digits import Base, leading_digit_real
+from digitlaw.digits import leading_digit_real
 from digitlaw.empirical import (
     SampleSummary,
     empirical_distribution,
@@ -16,7 +16,7 @@ from digitlaw.empirical import (
     merge,
     tally,
 )
-from digitlaw.errors import EmptySampleError, UsageError
+from digitlaw.errors import DomainError, EmptySampleError, UsageError
 from digitlaw.lawtheory import exact_frequency, leading_digit_count
 
 
@@ -163,7 +163,7 @@ def test_merge_rejects_nothing_and_mixed_bases():
 
 def summary_of(counts, *, total_read, skipped_zero=0, skipped_nonfinite=0):
     return SampleSummary(
-        base=Base(10),
+        base=10,
         counts=counts,
         total_read=total_read,
         skipped_zero=skipped_zero,
@@ -206,11 +206,16 @@ def test_summary_takes_only_non_negative_int_counts(
         )
 
 
-def test_summary_coerces_an_int_base():
+def test_summary_base_is_a_plain_int():
     summary = SampleSummary(
         base=10, counts=(1,) * 9, total_read=9, skipped_zero=0, skipped_nonfinite=0
     )
-    assert summary.base == Base(10)
+    assert summary.base == 10
+    assert type(tally([0xA5], 16).base) is int
+    with pytest.raises(DomainError, match=r"^base must be in \[2, 36\], got 37$"):
+        SampleSummary(base=37, counts=(), total_read=0, skipped_zero=0, skipped_nonfinite=0)
+    with pytest.raises(DomainError, match=r"^base must be an integer, got True$"):
+        tally([5], True)
     assert merge([summary, tally([5], 10)]).counts == (1, 1, 1, 1, 2, 1, 1, 1, 1)
 
 
@@ -218,7 +223,7 @@ def test_summary_used_is_derived_from_counts():
     assert summary_of((1,) * 9, total_read=12, skipped_zero=2, skipped_nonfinite=1).used == 9
     with pytest.raises(TypeError):
         SampleSummary(
-            base=Base(10),
+            base=10,
             counts=(1,) * 9,
             total_read=9,
             used=9,

@@ -7,7 +7,6 @@ import statistics
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from digitlaw.digits import Base
 from digitlaw.empirical import SampleSummary, empirical_distribution, tally
 from digitlaw.errors import (
     DegenerateBaseError,
@@ -56,7 +55,7 @@ def full_sample(counts):
     """A base-10 summary in which every value read contributed a digit."""
     counts = tuple(counts)
     return SampleSummary(
-        base=Base(10),
+        base=10,
         counts=counts,
         total_read=sum(counts),
         skipped_zero=0,
@@ -67,7 +66,7 @@ def full_sample(counts):
 def random_distribution(rng, base=10):
     weights = [rng.uniform(0.05, 1.0) for _ in range(base - 1)]
     total = math.fsum(weights)
-    return DigitDistribution(Base(base), tuple(w / total for w in weights))
+    return DigitDistribution(base, tuple(w / total for w in weights))
 
 
 # ------------------------------------------------------------- pearson
@@ -103,13 +102,13 @@ def test_pearson_is_permutation_covariant():
     order = list(range(9))
     for _ in range(10):
         rng.shuffle(order)
-        pa = DigitDistribution(Base(10), tuple(a.probabilities[i] for i in order))
-        pb = DigitDistribution(Base(10), tuple(b.probabilities[i] for i in order))
+        pa = DigitDistribution(10, tuple(a.probabilities[i] for i in order))
+        pb = DigitDistribution(10, tuple(b.probabilities[i] for i in order))
         assert pearson_r(pa, pb) == pytest.approx(baseline, rel=1e-12)
 
 
 def test_pearson_rejects_degenerate_inputs():
-    uniform = DigitDistribution(Base(10), tuple([1 / 9] * 9))
+    uniform = DigitDistribution(10, tuple([1 / 9] * 9))
     with pytest.raises(UndefinedCorrelationError):
         pearson_r(uniform, benford(10))
     with pytest.raises(UndefinedCorrelationError):
@@ -160,7 +159,7 @@ def test_pearson_stays_inside_unit_interval():
 
 def test_chi_square_is_zero_for_a_perfectly_proportional_sample():
     summary = full_sample((1,) * 9)
-    uniform = DigitDistribution(Base(10), tuple([1 / 9] * 9))
+    uniform = DigitDistribution(10, tuple([1 / 9] * 9))
     statistic, dof = chi_square(summary, uniform)
     assert statistic == 0.0
     assert dof == 8
@@ -198,7 +197,7 @@ def test_chi_square_rejects_empty_samples_and_zero_expectations():
     with pytest.raises(EmptySampleError):
         chi_square(empty, benford(10))
     summary = full_sample((1,) * 9)
-    with_zero = DigitDistribution(Base(10), (0.2, 0.2, 0.2, 0.2, 0.2, 0, 0, 0, 0))
+    with_zero = DigitDistribution(10, (0.2, 0.2, 0.2, 0.2, 0.2, 0, 0, 0, 0))
     with pytest.raises(DegenerateExpectationError):
         chi_square(summary, with_zero)
     with pytest.raises(UsageError):
@@ -295,7 +294,7 @@ def test_compare_full_segment_report():
 def test_compare_identical_candidate_wins_outright():
     summary = tally(range(1, 2000))
     twin = DigitDistribution(
-        Base(10), empirical_distribution(summary).probabilities, "custom"
+        10, empirical_distribution(summary).probabilities, "custom"
     )
     report = compare(summary, [benford(10), twin])
     twin_entry = report.entries[1]
@@ -308,8 +307,8 @@ def test_compare_identical_candidate_wins_outright():
 def test_compare_breaks_ties_by_candidate_order():
     summary = tally(range(1, 2000))
     emp = empirical_distribution(summary).probabilities
-    first = DigitDistribution(Base(10), emp, "alpha")
-    second = DigitDistribution(Base(10), emp, "beta")
+    first = DigitDistribution(10, emp, "alpha")
+    second = DigitDistribution(10, emp, "beta")
     report = compare(summary, [first, second])
     assert report.best_by_r == "alpha"
 
@@ -345,7 +344,7 @@ def test_compare_statistics_are_permutation_covariant():
     rng.shuffle(order)
     permuted_summary = full_sample(counts[i] for i in order)
     permuted_candidate = DigitDistribution(
-        Base(10), tuple(candidate.probabilities[i] for i in order)
+        10, tuple(candidate.probabilities[i] for i in order)
     )
     permuted = compare(permuted_summary, [permuted_candidate]).entries[0]
     assert permuted.r == pytest.approx(baseline.r, rel=1e-12)

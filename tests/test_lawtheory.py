@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitlaw.digits import Base, leading_digit_int
+from digitlaw.digits import leading_digit_int
 from digitlaw.errors import CapacityError, DigitLawError, DomainError
 from digitlaw.lawtheory import (
     INT_CAPACITY,
     KIND_MAX,
     KIND_MIN,
     BoundsReport,
+    DigitBounds,
     DigitDistribution,
     ExtremalFrequency,
     arithmetic_mean_distribution,
@@ -205,7 +206,10 @@ def test_extremal_record_validates_its_own_consistency():
     with pytest.raises(DomainError):
         ExtremalFrequency(1, True, KIND_MIN, Fraction(1, 9), 9)
     # the location is checked against the record's own base
-    assert ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15, 16).base == Base(16)
+    assert ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15, 16).base == 16
+    assert extremal_frequency(1, 1, KIND_MIN, 16).base == 16
+    assert type(extremal_frequency(1, 1, KIND_MIN, 16).base) is int
+    assert ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 9), 9).base == 10
     with pytest.raises(DomainError):
         ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15)
     with pytest.raises(DomainError):
@@ -496,7 +500,7 @@ def test_bounds_formulas_per_digit():
 
 
 def test_uniform_distribution_sits_exactly_on_the_digit_one_bound():
-    uniform = DigitDistribution(Base(10), tuple([1 / 9] * 9))
+    uniform = DigitDistribution(10, tuple([1 / 9] * 9))
     report = bounds_check(uniform)
     assert report.all_within
     first = report.entries[0]
@@ -506,12 +510,23 @@ def test_uniform_distribution_sits_exactly_on_the_digit_one_bound():
 
 
 def test_overweighted_digit_one_violates_the_upper_bound():
-    skewed = DigitDistribution(Base(10), (0.8,) + (0.025,) * 8)
+    skewed = DigitDistribution(10, (0.8,) + (0.025,) * 8)
     report = bounds_check(skewed)
     assert not report.all_within
     assert not report.entries[0].within
     assert report.entries[0].upper == Fraction(10, 18)
     assert any(e.digit == 1 and not e.within for e in report.entries)
+
+
+def test_within_is_derived_from_the_entry_bounds():
+    inside = DigitBounds(1, Fraction(1, 9), 0.3, Fraction(5, 9))
+    assert inside.within
+    assert not DigitBounds(1, Fraction(1, 9), 0.6, Fraction(5, 9)).within
+    # the float-rounded bound itself counts as within
+    assert DigitBounds(1, Fraction(1, 9), 1 / 9, Fraction(5, 9)).within
+    # no stored flag can contradict the bounds it summarizes
+    with pytest.raises(TypeError):
+        DigitBounds(1, Fraction(1, 9), 0.6, Fraction(5, 9), True)
 
 
 def test_base_two_bounds_collapse_to_certainty():
@@ -526,29 +541,36 @@ def test_base_two_bounds_collapse_to_certainty():
 
 def test_distribution_rejects_wrong_shape_and_mass():
     with pytest.raises(DomainError):
-        DigitDistribution(Base(10), (0.5, 0.5))
+        DigitDistribution(10, (0.5, 0.5))
     with pytest.raises(DomainError):
-        DigitDistribution(Base(10), (1.2,) + (-0.025,) * 8)
+        DigitDistribution(10, (1.2,) + (-0.025,) * 8)
     with pytest.raises(DomainError):
-        DigitDistribution(Base(10), tuple([0.1] * 9))  # sums to 0.9
+        DigitDistribution(10, tuple([0.1] * 9))  # sums to 0.9
 
 
-def test_distribution_coerces_an_int_base():
-    assert DigitDistribution(10, tuple([1 / 9] * 9)).base == Base(10)
+def test_distribution_base_is_a_plain_int():
+    assert DigitDistribution(10, tuple([1 / 9] * 9)).base == 10
     assert bounds_check(DigitDistribution(3, (0.5, 0.5))).all_within
+    for law in (benford, geometric_mean_distribution, arithmetic_mean_distribution):
+        assert type(law(16).base) is int
+    assert repr(benford(3)).startswith("DigitDistribution(base=3, ")
+    with pytest.raises(DomainError, match=r"^base must be an integer, got True$"):
+        DigitDistribution(True, (1.0,))
+    with pytest.raises(DomainError, match=r"^base must be in \[2, 36\], got 37$"):
+        benford(37)
 
 
 def test_distribution_rejects_nan_probabilities():
     # NaN fails every comparison, so it must be caught by one that passes
     for probs in ((math.nan, 0.5), (0.5, math.nan)):
         with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-            DigitDistribution(Base(3), probs)
+            DigitDistribution(3, probs)
 
 
 def test_law_labels_enforce_strict_decrease():
     increasing = tuple(n / 45 for n in range(1, 10))
     with pytest.raises(DomainError):
-        DigitDistribution(Base(10), increasing, "benford")
+        DigitDistribution(10, increasing, "benford")
     # the same shape is fine without a law label
-    DigitDistribution(Base(10), increasing, "custom")
-    DigitDistribution(Base(10), increasing, "empirical")
+    DigitDistribution(10, increasing, "custom")
+    DigitDistribution(10, increasing, "empirical")
