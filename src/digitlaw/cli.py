@@ -299,6 +299,9 @@ def _parse_candidates(text: str) -> list[str]:
             f"unknown candidates {', '.join(sorted(unknown))}; "
             f"choose from {', '.join(sorted(_LAWS))}"
         )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"candidates named more than once: {', '.join(repeated)}")
     return names
 
 
@@ -310,6 +313,9 @@ def _read_inputs(args, spec: InputSpec, base: int):
         if args.input:
             stream = open(label, "r", encoding="utf-8", errors="replace")
         else:
+            # Decode as a file is decoded; a stand-in stream is left as it is.
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(encoding="utf-8", errors="replace")
             stream = contextlib.nullcontext(sys.stdin)
         with stream as lines:
             summaries.append(tally(read_numerals(spec, lines, diags), base, source=label))

@@ -19,9 +19,10 @@ The accepted numeral grammar (digits.NUMERAL_RE) is deliberately narrow:
 optional sign, ASCII digits 0-9 with at most one point, optional e/E
 exponent.  No other Unicode digits, no thousands separators, no locale
 decimal commas, no inf/nan words.  Numerals are validated here and nowhere
-else: each data line is matched once by its format's line pattern, built
-from that grammar, and only a line the pattern rejects is split into
-fields and matched field by field, the one route that produces
+else.  plain and spectrum2col match each data line once by a whole-line
+pattern built from that grammar (plain only up to _PLAIN_LINE_CAP
+characters); a delimited line, and a line the pattern rejects, is split
+into fields and matched field by field, the one route that produces
 diagnostics.  spectrum2col is a minimal stand-in for real instrument
 formats (JCAMP-DX and friends are out of scope) and ignores any third or
 later field.
@@ -86,36 +87,25 @@ class Diagnostic:
     message: str
 
 
+# The plain pattern's repeated group keeps matcher state for every token,
+# about 1 KB each, so a longer line takes split() instead.
+_PLAIN_LINE_CAP = 4096
+
+
 @functools.cache
-def _line_pattern(spec: InputSpec) -> re.Pattern[str]:
-    """The whole-line pattern of a spec, compiled on first use.
+def _line_pattern(format: str) -> re.Pattern[str]:
+    """The whole-line pattern of plain or spectrum2col, compiled on first use.
 
     A raw line it fullmatches is one the per-field route reads without a
     diagnostic: for plain, blank-separated numerals, the line's split();
-    otherwise a line whose chosen field, group 1, is a numeral.  Its only
-    blanks are ASCII space and tab, so a line with other whitespace, a CR,
-    a comment or a missing field misses and is left to that route.
+    for spectrum2col, one whose second field, group 1, is a numeral.  Its
+    only blanks are ASCII space and tab, so a line with other whitespace,
+    a CR, a comment or a missing field misses and is left to that route.
     """
     num = f"(?:{NUMERAL_RE.pattern})"
-    if spec.format == FORMAT_PLAIN:
+    if format == FORMAT_PLAIN:
         return re.compile(rf"[ \t]*{num}(?:[ \t]+{num})*[ \t]*\n?")
-    if spec.format == FORMAT_SPECTRUM2COL:
-        return re.compile(
-            rf"[ \t]*[^\s,#][^\s,]*[ \t,]+({num})(?:[\s,].*)?", re.S
-        )
-    d = re.escape(spec.delimiter)
-    # Padding that strip() removes, but never the delimiter itself.
-    blank = r"[\t]" if spec.delimiter == " " else r"[ \t]"
-    try:
-        return re.compile(
-            rf"(?!\s*#)(?:[^{d}]*{d}){{{spec.column - 1}}}"
-            rf"{blank}*({num}){blank}*(?:{d}.*)?\n?",
-            re.S,
-        )
-    except OverflowError:
-        # CPython's re refuses a repeat count of 2**32 - 1 or more.  Then no
-        # line matches, and every line takes the per-field route.
-        return re.compile("(?!)")
+    return re.compile(rf"[ \t]*[^\s,#][^\s,]*[ \t,]+({num})(?:[\s,].*)?", re.S)
 
 
 def read_numerals(
@@ -126,10 +116,12 @@ def read_numerals(
     Every token yielded fullmatches NUMERAL_RE; it is not converted.  The
     stream is any iterable of lines (an open text file works) or a string,
     which is split as a text file is read: at LF, CR and CRLF only.
-    Lines are read only as values are asked for.  Each line is matched
-    once by the spec's line pattern, and a hit yields its token(s) at
-    once; only a line the pattern rejects is split into fields, each
-    matched on its own.  Lines whose first non-blank characters are
+    Lines are read only as values are asked for, and each is held whole,
+    so memory grows with the longest line.  A plain line of at most
+    _PLAIN_LINE_CAP characters, and any spectrum2col line, is matched once
+    by its format's line pattern, and a hit yields its token(s) at once.
+    Every other line, and every delimited line, is split into fields,
+    each matched on its own.  Lines whose first non-blank characters are
     COMMENT_PREFIX are skipped outright.
     Every malformed or missing field appends one Diagnostic to the
     caller's list instead of raising.  A delimited stream whose requested
@@ -139,26 +131,28 @@ def read_numerals(
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
-    whole_line = _line_pattern(spec).fullmatch
     plain = spec.format == FORMAT_PLAIN
+    spectrum = spec.format == FORMAT_SPECTRUM2COL
+    if plain or spectrum:
+        whole_line = _line_pattern(spec.format).fullmatch
     data_lines = 0
     column_hits = 0
     for line_no, raw in enumerate(stream, start=1):
-        hit = whole_line(raw)
-        if hit:
-            data_lines += 1
-            column_hits += 1
-            if plain:
+        if plain:
+            if len(raw) <= _PLAIN_LINE_CAP and whole_line(raw):
                 yield from raw.split()
-            else:
+                continue
+        elif spectrum:
+            hit = whole_line(raw)
+            if hit:
                 yield hit[1]
-            continue
+                continue
         stripped = raw.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIX):
             continue
         data_lines += 1
 
-        if spec.format == FORMAT_PLAIN:
+        if plain:
             tokens = stripped.split()
         elif spec.format == FORMAT_DELIMITED:
             fields = raw.split(spec.delimiter)

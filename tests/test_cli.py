@@ -490,6 +490,28 @@ def test_analyze_unknown_candidate_is_a_usage_error(segment_file, capsys):
     assert "zipf" in err
 
 
+def test_analyze_repeated_candidate_is_a_usage_error(segment_file, capsys):
+    outcome = execute(
+        ["analyze", "--input", str(segment_file), "--candidates", "benford,geom,benford"]
+    )
+    err = capsys.readouterr().err
+    assert outcome.exit_code == EXIT_USAGE
+    assert "candidates named more than once: benford" in err
+
+
+def test_stdin_bytes_are_decoded_as_file_bytes_are():
+    # a strict UTF-8 standard input would raise on the stray byte
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "digitlaw", "analyze"],
+        input=b"1 \xff 2\n",
+        capture_output=True,
+        env=env,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert "not a numeral: '\ufffd'" in done.stdout.decode("utf-8")
+
+
 def test_analyze_structural_error_exits_one(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("1,2\n3,4\n")

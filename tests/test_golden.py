@@ -34,3 +34,12 @@ def test_every_golden_file_has_a_case():
     assert len(names) == len(CASES)
     assert {path.stem for path in HERE.glob("*.stdout")} == names
     assert set(STATUS) == names
+
+
+def test_the_golden_corpus_stays_under_its_budget():
+    files = [
+        path
+        for path in HERE.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    ]
+    assert sum(path.stat().st_size for path in files) < 200_000

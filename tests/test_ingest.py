@@ -127,7 +127,7 @@ def test_delimited_missing_column_on_some_lines_is_diagnosed():
 
 
 def test_delimited_short_line_among_whole_line_hits_is_diagnosed():
-    # every line but the third is read by the line pattern alone
+    # only the third line lacks column 2
     text = "a,1\nb, 2 ,x\nshort\nc,3.5\n"
     records, diagnostics = parse(InputSpec(format="delimited", column=2), text)
     assert values_of(records) == [1.0, 2.0, 3.5]
@@ -348,6 +348,21 @@ def test_tally_over_a_stream_holds_no_per_value_memory():
         tracemalloc.stop()
     assert summary.total_read == 50_000
     assert peak < 1_000_000
+
+
+def test_a_long_plain_line_holds_no_per_token_matcher_state():
+    # the plain line pattern keeps matcher state for every token it
+    # repeats over, about 1 KB each; a line past the cap takes split()
+    rng = random.Random(704)
+    line = " ".join(f"{rng.lognormvariate(0, 3):.6g}" for _ in range(50_000))
+    tracemalloc.start()
+    try:
+        summary = tally(read_numerals(InputSpec(), line + "\n", []))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.total_read == 50_000
+    assert peak < 10_000_000
 
 
 def test_a_long_junk_token_is_rejected_in_linear_time():
