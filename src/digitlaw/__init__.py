@@ -31,7 +31,6 @@ from .errors import (
 from .fit import CandidateScore, FitReport, chi_square, compare, mad, max_abs_dev, pearson_r
 from .ingest import Diagnostic, InputSpec, read_numerals
 from .lawtheory import (
-    BoundsReport,
     DigitBounds,
     DigitDistribution,
     ExtremalFrequency,
@@ -58,7 +57,6 @@ __all__ = [
     "DigitDistribution",
     "ExtremalFrequency",
     "DigitBounds",
-    "BoundsReport",
     "benford",
     "arithmetic_mean_distribution",
     "geometric_mean_distribution",

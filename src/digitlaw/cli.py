@@ -39,7 +39,7 @@ from .errors import CapacityError, DigitLawError, DomainError, UsageError
 from .fit import FitReport, compare
 from .ingest import FORMATS, InputSpec, read_numerals
 from .lawtheory import (
-    BoundsReport,
+    DigitBounds,
     DigitDistribution,
     INT_CAPACITY,
     KIND_MIN,
@@ -104,7 +104,7 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         "meta": {},
     }
     try:
-        params, result, diagnostics, exit_code = _HANDLERS[args.command](args)
+        params, result, diagnostics, exit_code = args.handle(args)
         report.update(params=params, result=result, diagnostics=diagnostics)
         report["meta"] = {
             "tool": "digitlaw",
@@ -114,7 +114,7 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         if args.output == "json":
             chunks = _render_json(report)
         else:
-            chunks = _RENDERERS[args.command](report)
+            chunks = args.render(report)
         _emit(chunks, args.out)
     except (DigitLawError, OSError, ArithmeticError) as exc:
         if isinstance(exc, BrokenPipeError) and args.out is None:
@@ -178,17 +178,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
+    theory = sub.add_parser(
         "theory",
         parents=[common],
         help="print the benford / geom / arith first-digit laws",
     )
+    theory.set_defaults(handle=_handle_theory, render=_render_theory)
 
     sweep = sub.add_parser(
         "sweep",
         parents=[common],
         help="exact leading-digit frequency over {1..m} with extremum locations",
     )
+    sweep.set_defaults(handle=_handle_sweep, render=_render_sweep)
     which = sweep.add_mutually_exclusive_group(required=True)
     which.add_argument("--digit", type=_positive_flag, help="single first digit")
     which.add_argument(
@@ -207,6 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="tally a dataset's leading digits and score candidate laws",
     )
+    analyze.set_defaults(handle=_handle_analyze, render=_render_analyze)
     analyze.add_argument(
         "--input",
         action="append",
@@ -239,6 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="check a distribution against the per-digit probability limits",
     )
+    bounds.set_defaults(handle=_handle_bounds, render=_render_bounds)
     source = bounds.add_mutually_exclusive_group(required=True)
     source.add_argument("--dist", choices=sorted(_LAWS))
     source.add_argument(
@@ -262,8 +266,9 @@ def _handle_theory(args) -> tuple[dict, dict, list, int]:
 def _sweep_digit(n: int, m_max: int, radix: int) -> dict:
     minima, maxima = [], []
     for e in extrema_within(n, m_max, radix):
-        doc = {"k": e.k, "m": e.location_m, "value": float(e.value)}
-        (minima if e.kind == KIND_MIN else maxima).append({**doc, **_fraction_doc(e.value)})
+        value = e.value
+        doc = {"k": e.k, "m": e.location_m, "value": float(value), **_fraction_doc(value)}
+        (minima if e.kind == KIND_MIN else maxima).append(doc)
     points = frequency_series(n, m_max, radix)
     return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
 
@@ -329,20 +334,18 @@ def _fraction_doc(fr: Fraction) -> dict:
     return {"num": fr.numerator, "den": fr.denominator}
 
 
-def _bounds_doc(report: BoundsReport) -> dict:
-    return {
-        "all_within": report.all_within,
-        "entries": [
-            {
-                "digit": entry.digit,
-                "lower": _fraction_doc(entry.lower),
-                "probability": entry.probability,
-                "upper": _fraction_doc(entry.upper),
-                "within": entry.within,
-            }
-            for entry in report.entries
-        ],
-    }
+def _bounds_doc(entries: Sequence[DigitBounds]) -> dict:
+    docs = [
+        {
+            "digit": entry.digit,
+            "lower": _fraction_doc(entry.lower),
+            "probability": entry.probability,
+            "upper": _fraction_doc(entry.upper),
+            "within": entry.within,
+        }
+        for entry in entries
+    ]
+    return {"all_within": all(doc["within"] for doc in docs), "entries": docs}
 
 
 def _sample_doc(summary: SampleSummary) -> dict:
@@ -380,6 +383,8 @@ def _fit_doc(fit: FitReport) -> dict:
 
 
 def _handle_analyze(args) -> tuple[dict, dict, list, int]:
+    if args.base == 2:
+        raise UsageError("analyze needs base 3 or more: in base 2 every numeral leads with 1")
     names = _parse_candidates(args.candidates)
     try:
         spec = InputSpec(
@@ -397,10 +402,11 @@ def _handle_analyze(args) -> tuple[dict, dict, list, int]:
         "candidates": names,
         "require_bounds": bool(args.require_bounds),
     }
+    result = _fit_doc(fit)
     exit_code = EXIT_OK
-    if args.require_bounds and not fit.bounds.all_within:
+    if args.require_bounds and not result["bounds"]["all_within"]:
         exit_code = EXIT_BOUNDS
-    return params, _fit_doc(fit), diagnostics, exit_code
+    return params, result, diagnostics, exit_code
 
 
 def _handle_bounds(args) -> tuple[dict, dict, list, int]:
@@ -418,22 +424,13 @@ def _handle_bounds(args) -> tuple[dict, dict, list, int]:
         except ValueError as exc:
             raise UsageError(f"--probs: {exc}") from None
         dist = DigitDistribution(args.base, probs, LABEL_CUSTOM)
-    report = bounds_check(dist)
     params = {"dist": args.dist, "probs": None if args.probs is None else list(dist.probabilities)}
     result = {
         "label": dist.label,
         "probabilities": list(dist.probabilities),
-        "bounds": _bounds_doc(report),
+        "bounds": _bounds_doc(bounds_check(dist)),
     }
     return params, result, [], EXIT_OK
-
-
-_HANDLERS = {
-    "theory": _handle_theory,
-    "sweep": _handle_sweep,
-    "analyze": _handle_analyze,
-    "bounds": _handle_bounds,
-}
 
 
 # ------------------------------------------------------------- rendering
@@ -649,14 +646,6 @@ def _render_bounds(report: dict) -> Iterator[str]:
         f"distribution {result['label']}\n"
     )
     yield from _render_bounds_block(result["bounds"])
-
-
-_RENDERERS = {
-    "theory": _render_theory,
-    "sweep": _render_sweep,
-    "analyze": _render_analyze,
-    "bounds": _render_bounds,
-}
 
 
 if __name__ == "__main__":

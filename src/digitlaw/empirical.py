@@ -26,17 +26,16 @@ class SampleSummary:
     """Leading-digit counts plus the bookkeeping of skipped values.
 
     counts[n-1] is the number of values whose first digit is n.  Every
-    value read lands in exactly one bucket:
+    value read lands in exactly one bucket, so neither sum is stored:
 
+        used = sum(counts)
         total_read = used + skipped_zero + skipped_nonfinite
 
-    where used = sum(counts) is derived, not stored.  Every count is a
-    non-negative int.
+    Every count is a non-negative int.
     """
 
     base: int
     counts: tuple[int, ...]
-    total_read: int
     skipped_zero: int
     skipped_nonfinite: int
     source: str = ""
@@ -47,15 +46,17 @@ class SampleSummary:
         object.__setattr__(self, "counts", counts)
         if len(counts) != n_digits:
             raise UsageError(f"base {self.base} needs {n_digits} counts, got {len(counts)}")
-        tallies = counts + (self.total_read, self.skipped_zero, self.skipped_nonfinite)
+        tallies = counts + (self.skipped_zero, self.skipped_nonfinite)
         if not all(type(c) is int and c >= 0 for c in tallies):
-            raise UsageError("counts, total_read and skip counts must be non-negative ints")
-        if self.total_read != self.used + self.skipped_zero + self.skipped_nonfinite:
-            raise UsageError("total_read must equal used + skipped counts")
+            raise UsageError("counts and skip counts must be non-negative ints")
 
     @property
     def used(self) -> int:
         return sum(self.counts)
+
+    @property
+    def total_read(self) -> int:
+        return self.used + self.skipped_zero + self.skipped_nonfinite
 
 
 def tally(
@@ -85,11 +86,9 @@ def tally(
     counts = [0] * (check_base(base) - 1)
     decimal_index = DECIMAL_INDEX.get if base == 10 else None
     float_digit = float_digit_rule(base)
-    total_read = 0
     skipped_zero = 0
     skipped_nonfinite = 0
     for item in values:
-        total_read += 1
         if isinstance(item, str):
             if decimal_index is not None:
                 index = decimal_index(item.lstrip("+-0.")[:1])
@@ -112,7 +111,6 @@ def tally(
     return SampleSummary(
         base=base,
         counts=tuple(counts),
-        total_read=total_read,
         skipped_zero=skipped_zero,
         skipped_nonfinite=skipped_nonfinite,
         source=source,
@@ -136,7 +134,6 @@ def merge(summaries: Sequence[SampleSummary]) -> SampleSummary:
     return SampleSummary(
         base=base,
         counts=tuple(counts),
-        total_read=sum(s.total_read for s in summaries),
         skipped_zero=sum(s.skipped_zero for s in summaries),
         skipped_nonfinite=sum(s.skipped_nonfinite for s in summaries),
         source="+".join(s.source for s in summaries if s.source),

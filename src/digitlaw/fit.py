@@ -21,7 +21,7 @@ from .errors import (
     UndefinedCorrelationError,
     UsageError,
 )
-from .lawtheory import BoundsReport, DigitDistribution, bounds_check
+from .lawtheory import DigitBounds, DigitDistribution, bounds_check
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class FitReport:
     sample: SampleSummary
     empirical: DigitDistribution
     entries: tuple[CandidateScore, ...]
-    bounds: BoundsReport
+    bounds: tuple[DigitBounds, ...]
     best_by_r: str
 
 

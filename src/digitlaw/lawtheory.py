@@ -83,28 +83,37 @@ class DigitDistribution:
 class ExtremalFrequency:
     """The k-th successive extremum of the leading-digit frequency.
 
-    location_m is the m that _location gives for the digit in the base;
-    value is the exact frequency there, in lowest terms.
+    Only the digit, k, the kind and the base are stored; location_m and
+    value are derived from them, as extremal_frequency describes.
     """
 
     digit: int
     k: int
     kind: str
-    value: Fraction
-    location_m: int
     base: int = 10
 
     def __post_init__(self) -> None:
         check_digit(self.digit, self.base)
         _require_kind(self.kind)
         _require_positive("k", self.k)
-        if not 0 < self.value <= 1:
-            raise DomainError(f"extremal frequency {self.value} outside (0, 1]")
-        if self.location_m != _location(self.digit, self.k, self.kind, self.base):
-            raise DomainError(
-                f"location {self.location_m} inconsistent with "
-                f"n={self.digit}, k={self.k}, kind={self.kind}"
-            )
+        context = (
+            f"extremal_frequency(n={self.digit}, k={self.k}, "
+            f"kind={self.kind}, base={self.base})"
+        )
+        # Only the location is capped; the closed form's terms are exact ints
+        # of any size.  Past k = 63 every location exceeds the cap.
+        if self.k > 63:
+            raise CapacityError(f"{context}: {self.base}**{self.k} exceeds 2**63 - 1")
+        _check_capacity(self.location_m, context)
+
+    @property
+    def location_m(self) -> int:
+        return _location(self.digit, self.k, self.kind, self.base)
+
+    @property
+    def value(self) -> Fraction:
+        width = self.k if self.kind == KIND_MIN else self.k + 1
+        return Fraction(self.base**width - 1, (self.base - 1) * self.location_m)
 
 
 @dataclass(frozen=True)
@@ -119,17 +128,6 @@ class DigitBounds:
     @property
     def within(self) -> bool:
         return float(self.lower) <= self.probability <= float(self.upper)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Per-digit bound entries for one distribution."""
-
-    entries: tuple[DigitBounds, ...]
-
-    @property
-    def all_within(self) -> bool:
-        return all(entry.within for entry in self.entries)
 
 
 def _location(n: int, k: int, kind: str, radix: int) -> int:
@@ -153,10 +151,9 @@ def _require_positive(name: str, value: int) -> None:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_capacity(quantity: int, context: str) -> int:
+def _check_capacity(quantity: int, context: str) -> None:
     if quantity > INT_CAPACITY:
         raise CapacityError(f"{context}: {quantity} exceeds 2**63 - 1")
-    return quantity
 
 
 def benford(base: int = 10) -> DigitDistribution:
@@ -197,18 +194,7 @@ def extremal_frequency(
     ones over the all-(N-1) tail that precedes the next block of leading
     digit n.  tests/test_lawtheory.py checks that the two forms agree.
     """
-    check_digit(n, base)
-    _require_kind(kind)
-    _require_positive("k", k)
-    context = f"extremal_frequency(n={n}, k={k}, kind={kind}, base={base})"
-    # Only the location is capped; the closed form's terms are exact ints
-    # of any size.  Past k = 63 every location exceeds the cap.
-    if k > 63:
-        raise CapacityError(f"{context}: {base}**{k} exceeds 2**63 - 1")
-    location = _check_capacity(_location(n, k, kind, base), context)
-    width = k if kind == KIND_MIN else k + 1
-    closed = Fraction(base**width - 1, (base - 1) * location)
-    return ExtremalFrequency(n, k, kind, closed, location, base)
+    return ExtremalFrequency(n, k, kind, base)
 
 
 def arithmetic_mean_distribution(base: int = 10) -> DigitDistribution:
@@ -332,7 +318,7 @@ def extremum_locations(
     return tuple(zip(locations[::2], locations[1::2]))
 
 
-def bounds_check(dist: DigitDistribution) -> BoundsReport:
+def bounds_check(dist: DigitDistribution) -> tuple[DigitBounds, ...]:
     """Sandwich test f_min(n) <= P(n) <= f_max(n) per digit.
 
     The bounds come from limit_frequency.  Any first-digit probability
@@ -347,4 +333,4 @@ def bounds_check(dist: DigitDistribution) -> BoundsReport:
         lower = limit_frequency(n, KIND_MIN, dist.base)
         upper = limit_frequency(n, KIND_MAX, dist.base)
         entries.append(DigitBounds(n, lower, p, upper))
-    return BoundsReport(tuple(entries))
+    return tuple(entries)

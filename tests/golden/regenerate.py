@@ -121,6 +121,8 @@ CASES: list[tuple[str, list[str], str | None]] = [
         None,
     ),
     ("analyze-unknown-candidate", ["analyze", "--candidates", "zipf"], ""),
+    # refused before the input is opened: every base-2 numeral leads with 1
+    ("analyze-base2", ["analyze", "--input", "inputs/diag.txt", "--base", "2"], None),
 ]
 
 _ELAPSED_LINE = re.compile(r'^ *"elapsed_s": .*\n', re.MULTILINE)

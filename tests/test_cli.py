@@ -541,8 +541,14 @@ def test_analyze_base_two_fails_loudly_not_silently(segment_file, capsys):
     # correlation has no meaning over a single digit; the report says so
     outcome = execute(["analyze", "--input", str(segment_file), "--base", "2"])
     err = capsys.readouterr().err
-    assert outcome.exit_code == EXIT_FAILURE
+    assert outcome.exit_code == EXIT_USAGE
     assert "base 2" in err
+    # refused before any input is opened
+    outcome = execute(["analyze", "--base", "2", "--input", "/nonexistent"])
+    assert outcome.exit_code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "digitlaw: analyze needs base 3 or more: in base 2 every numeral leads with 1\n"
+    )
 
 
 # -------------------------------------------------------------- bounds

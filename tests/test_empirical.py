@@ -161,11 +161,10 @@ def test_merge_rejects_nothing_and_mixed_bases():
         merge([tally([1], 10), tally([1], 16)])
 
 
-def summary_of(counts, *, total_read, skipped_zero=0, skipped_nonfinite=0):
+def summary_of(counts, *, skipped_zero=0, skipped_nonfinite=0):
     return SampleSummary(
         base=10,
         counts=counts,
-        total_read=total_read,
         skipped_zero=skipped_zero,
         skipped_nonfinite=skipped_nonfinite,
     )
@@ -173,34 +172,28 @@ def summary_of(counts, *, total_read, skipped_zero=0, skipped_nonfinite=0):
 
 def test_summary_invariants_are_enforced():
     with pytest.raises(UsageError):
-        summary_of((1, 2), total_read=3)  # wrong width
+        summary_of((1, 2))  # wrong width
     with pytest.raises(UsageError):
-        # total off by one
-        summary_of((1,) * 9, total_read=12, skipped_zero=1, skipped_nonfinite=1)
-    with pytest.raises(UsageError):
-        summary_of((1,) * 9, total_read=10)  # a value read but never counted
-    with pytest.raises(UsageError):
-        summary_of((-1,) + (1,) * 8, total_read=7)
+        summary_of((-1,) + (1,) * 8)
 
 
 @pytest.mark.parametrize(
-    "counts, total_read, skipped_zero, skipped_nonfinite",
+    "counts, skipped_zero, skipped_nonfinite",
     [
-        ((1.7,) + (1,) * 8, 9, 0, 0),  # was truncated to 1
-        ((True,) + (1,) * 8, 9, 0, 0),
-        ((1,) * 9, 9.0, 0, 0),
-        ((1,) * 9, 8, -1, 0),
-        ((1,) * 9, 10, 0, True),
+        ((1.7,) + (1,) * 8, 0, 0),  # was truncated to 1
+        ((True,) + (1,) * 8, 0, 0),
+        ((1,) * 9, 1.0, 0),
+        ((1,) * 9, -1, 0),
+        ((1,) * 9, 0, True),
     ],
 )
 def test_summary_takes_only_non_negative_int_counts(
-    counts, total_read, skipped_zero, skipped_nonfinite
+    counts, skipped_zero, skipped_nonfinite
 ):
-    # each case balances total_read, so only the type or sign check stops it
+    # only the type or sign check stops each case
     with pytest.raises(UsageError, match="must be non-negative ints"):
         summary_of(
             counts,
-            total_read=total_read,
             skipped_zero=skipped_zero,
             skipped_nonfinite=skipped_nonfinite,
         )
@@ -208,24 +201,23 @@ def test_summary_takes_only_non_negative_int_counts(
 
 def test_summary_base_is_a_plain_int():
     summary = SampleSummary(
-        base=10, counts=(1,) * 9, total_read=9, skipped_zero=0, skipped_nonfinite=0
+        base=10, counts=(1,) * 9, skipped_zero=0, skipped_nonfinite=0
     )
     assert summary.base == 10
     assert type(tally([0xA5], 16).base) is int
     with pytest.raises(DomainError, match=r"^base must be in \[2, 36\], got 37$"):
-        SampleSummary(base=37, counts=(), total_read=0, skipped_zero=0, skipped_nonfinite=0)
+        SampleSummary(base=37, counts=(), skipped_zero=0, skipped_nonfinite=0)
     with pytest.raises(DomainError, match=r"^base must be an integer, got True$"):
         tally([5], True)
     assert merge([summary, tally([5], 10)]).counts == (1, 1, 1, 1, 2, 1, 1, 1, 1)
 
 
 def test_summary_used_is_derived_from_counts():
-    assert summary_of((1,) * 9, total_read=12, skipped_zero=2, skipped_nonfinite=1).used == 9
+    assert summary_of((1,) * 9, skipped_zero=2, skipped_nonfinite=1).used == 9
     with pytest.raises(TypeError):
         SampleSummary(
             base=10,
             counts=(1,) * 9,
-            total_read=9,
             used=9,
             skipped_zero=0,
             skipped_nonfinite=0,
@@ -234,18 +226,18 @@ def test_summary_used_is_derived_from_counts():
 
 def test_empirical_distribution_reference_fraction():
     counts = (11, 1, 1, 1, 1, 1, 1, 1, 1)
-    dist = empirical_distribution(summary_of(counts, total_read=19))
+    dist = empirical_distribution(summary_of(counts))
     assert dist.probabilities[0] == float(Fraction(11, 19))
     assert dist.label == "empirical"
 
 
 def test_empirical_distribution_single_digit_sample():
-    dist = empirical_distribution(summary_of((0, 0, 0, 0, 5, 0, 0, 0, 0), total_read=5))
+    dist = empirical_distribution(summary_of((0, 0, 0, 0, 5, 0, 0, 0, 0)))
     assert dist.probabilities == (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_empirical_distribution_refuses_empty_samples():
-    empty = summary_of((0,) * 9, total_read=3, skipped_zero=2, skipped_nonfinite=1)
+    empty = summary_of((0,) * 9, skipped_zero=2, skipped_nonfinite=1)
     with pytest.raises(EmptySampleError):
         empirical_distribution(empty)
     with pytest.raises(EmptySampleError):

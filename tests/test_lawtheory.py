@@ -13,7 +13,6 @@ from digitlaw.lawtheory import (
     INT_CAPACITY,
     KIND_MAX,
     KIND_MIN,
-    BoundsReport,
     DigitBounds,
     DigitDistribution,
     ExtremalFrequency,
@@ -200,20 +199,22 @@ def test_extremal_frequency_rejects_bad_kind():
 
 
 def test_extremal_record_validates_its_own_consistency():
-    with pytest.raises(DomainError):
-        ExtremalFrequency(1, 2, KIND_MIN, Fraction(1, 9), location_m=5)
+    # the value and location are derived, so no stored copy can disagree
+    with pytest.raises(TypeError):
+        ExtremalFrequency(1, 2, KIND_MIN, location_m=5)
     # a bool k lands on the k=1 location, so only the type check stops it
     with pytest.raises(DomainError):
-        ExtremalFrequency(1, True, KIND_MIN, Fraction(1, 9), 9)
-    # the location is checked against the record's own base
-    assert ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15, 16).base == 16
+        ExtremalFrequency(1, True, KIND_MIN)
+    # the location is derived in the record's own base
+    assert ExtremalFrequency(1, 1, KIND_MIN, 16).base == 16
+    assert ExtremalFrequency(1, 1, KIND_MIN, 16).location_m == 15
     assert extremal_frequency(1, 1, KIND_MIN, 16).base == 16
     assert type(extremal_frequency(1, 1, KIND_MIN, 16).base) is int
-    assert ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 9), 9).base == 10
-    with pytest.raises(DomainError):
+    assert ExtremalFrequency(1, 1, KIND_MIN).base == 10
+    with pytest.raises(TypeError):
         ExtremalFrequency(1, 1, KIND_MIN, Fraction(1, 15), 15)
     with pytest.raises(DomainError):
-        ExtremalFrequency(10, 1, KIND_MIN, Fraction(1, 9), 99)
+        ExtremalFrequency(10, 1, KIND_MIN)
 
 
 # ------------------------------------------------------------- limits
@@ -486,15 +487,12 @@ def test_capacity_error_names_the_offending_inputs():
 def test_bounds_pass_for_all_three_laws_in_small_bases():
     for base in range(2, 17):
         for law in (benford, geometric_mean_distribution, arithmetic_mean_distribution):
-            report = bounds_check(law(base))
-            assert isinstance(report, BoundsReport)
-            assert report.all_within
-            assert all(entry.within for entry in report.entries)
+            assert all(entry.within for entry in bounds_check(law(base)))
 
 
 def test_bounds_formulas_per_digit():
     report = bounds_check(benford(10))
-    for entry in report.entries:
+    for entry in report:
         assert entry.lower == Fraction(1, 9 * entry.digit)
         assert entry.upper == Fraction(10, 9 * (entry.digit + 1))
 
@@ -502,8 +500,8 @@ def test_bounds_formulas_per_digit():
 def test_uniform_distribution_sits_exactly_on_the_digit_one_bound():
     uniform = DigitDistribution(10, tuple([1 / 9] * 9))
     report = bounds_check(uniform)
-    assert report.all_within
-    first = report.entries[0]
+    assert all(e.within for e in report)
+    first = report[0]
     assert first.lower == Fraction(1, 9)
     assert first.probability == 1 / 9
     assert first.within
@@ -512,10 +510,10 @@ def test_uniform_distribution_sits_exactly_on_the_digit_one_bound():
 def test_overweighted_digit_one_violates_the_upper_bound():
     skewed = DigitDistribution(10, (0.8,) + (0.025,) * 8)
     report = bounds_check(skewed)
-    assert not report.all_within
-    assert not report.entries[0].within
-    assert report.entries[0].upper == Fraction(10, 18)
-    assert any(e.digit == 1 and not e.within for e in report.entries)
+    assert not all(e.within for e in report)
+    assert not report[0].within
+    assert report[0].upper == Fraction(10, 18)
+    assert any(e.digit == 1 and not e.within for e in report)
 
 
 def test_within_is_derived_from_the_entry_bounds():
@@ -531,7 +529,7 @@ def test_within_is_derived_from_the_entry_bounds():
 
 def test_base_two_bounds_collapse_to_certainty():
     report = bounds_check(benford(2))
-    (entry,) = report.entries
+    (entry,) = report
     assert entry.lower == entry.upper == Fraction(1)
     assert entry.within
 
@@ -550,7 +548,7 @@ def test_distribution_rejects_wrong_shape_and_mass():
 
 def test_distribution_base_is_a_plain_int():
     assert DigitDistribution(10, tuple([1 / 9] * 9)).base == 10
-    assert bounds_check(DigitDistribution(3, (0.5, 0.5))).all_within
+    assert all(e.within for e in bounds_check(DigitDistribution(3, (0.5, 0.5))))
     for law in (benford, geometric_mean_distribution, arithmetic_mean_distribution):
         assert type(law(16).base) is int
     assert repr(benford(3)).startswith("DigitDistribution(base=3, ")
