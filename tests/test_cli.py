@@ -512,6 +512,24 @@ def test_stdin_bytes_are_decoded_as_file_bytes_are():
     assert "not a numeral: '\ufffd'" in done.stdout.decode("utf-8")
 
 
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_a_byte_order_mark_does_not_hide_the_first_value(via, tmp_path):
+    data = b"\xef\xbb\xbf1.5 2.5\n"
+    path = tmp_path / "bom.txt"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "digitlaw", "analyze", "--output", "json"]
+    if via == "file":
+        argv += ["--input", str(path)]
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    done = subprocess.run(
+        argv, input=data if via == "stdin" else b"", capture_output=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    doc = json.loads(done.stdout)
+    assert doc["diagnostics"] == []
+    assert doc["result"]["sample"]["counts"][:3] == [1, 1, 0]
+
+
 def test_analyze_structural_error_exits_one(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("1,2\n3,4\n")
@@ -895,7 +913,6 @@ PACKAGE_IMPORTS = {
     "dataclasses",
     "fractions",
     "functools",
-    "io",
     "itertools",
     "json",
     "math",

@@ -7,8 +7,9 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from digitlaw import ingest
 from digitlaw.digits import NUMERAL_RE, leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
 from digitlaw.empirical import tally
@@ -336,6 +337,15 @@ def test_structural_error_arrives_once_the_stream_is_exhausted():
         tally(numerals)
 
 
+def test_a_byte_order_mark_is_dropped_once():
+    for stream in ("\ufeff1 2\n\ufeff3\n", io.StringIO("\ufeff1 2\n\ufeff3\n")):
+        records, diagnostics = parse(InputSpec(), stream)
+        assert values_of(records) == [1.0, 2.0]
+        assert [(d.line, d.message) for d in diagnostics] == [
+            (2, "not a numeral: '\\ufeff3'")
+        ]
+
+
 def test_tally_over_a_stream_holds_no_per_value_memory():
     rng = random.Random(703)
     text = "".join(f"{rng.lognormvariate(0, 3):.6g}\n" for _ in range(50_000))
@@ -363,6 +373,51 @@ def test_a_long_plain_line_holds_no_per_token_matcher_state():
         tracemalloc.stop()
     assert summary.total_read == 50_000
     assert peak < 10_000_000
+
+
+def test_a_string_is_sliced_not_copied():
+    # an io.StringIO holds 4 bytes per character; a str passed in must
+    # not be copied into one, so it costs what the same line in a list does
+    rng = random.Random(705)
+    line = " ".join(f"{rng.lognormvariate(0, 3):.6g}" for _ in range(50_000))
+    peaks = []
+    for stream in (line, [line]):
+        tracemalloc.start()
+        try:
+            summary = tally(read_numerals(InputSpec(), stream, []))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.total_read == 50_000
+        peaks.append(peak)
+    as_str, as_list = peaks
+    assert as_str <= 1.05 * as_list
+    assert as_str < 5_000_000
+
+
+def test_a_stream_is_read_one_small_piece_at_a_time():
+    # Read in pieces, a stream peaks above the same lines given one at a
+    # time by what a piece holds, its findall list the most: 3.0 KB at
+    # 256-character pieces, 4.2 KB at 384 (the smallest size measured to
+    # raise the benchmark's peak RSS), 10.6 KB at 1 KB and 41 KB at 4 KB.
+    rng = random.Random(706)
+    text = "".join(
+        f"{4000 - i * 0.15:.3f},{rng.lognormvariate(0, 2):.6g}\n" for i in range(24_000)
+    )
+    spec = InputSpec(format="spectrum2col")
+    tally(read_numerals(spec, "400.0 1.5\n", []))  # compile the pattern first
+    peaks = []
+    for stream in (io.StringIO(text), iter(text.splitlines(keepends=True))):
+        tracemalloc.start()
+        try:
+            summary = tally(read_numerals(spec, stream, []))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.total_read == 24_000
+        peaks.append(peak)
+    in_pieces, line_by_line = peaks
+    assert in_pieces - line_by_line < 3_600
 
 
 def test_a_long_junk_token_is_rejected_in_linear_time():
@@ -600,3 +655,34 @@ def test_line_patterns_read_whole_lines_as_the_per_field_route_does(stream):
     # and \x0c, \x1c, \x85 and \u2028 end one too
     raw_lines = text.splitlines(keepends=True)
     assert read_all(spec, raw_lines) == per_field_oracle(spec, raw_lines)
+
+
+@pytest.mark.parametrize("piece_chars", [1, 2, 3, 7])
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(stream=whole_line_streams())
+def test_pieces_cut_anywhere_read_as_whole_lines_do(piece_chars, monkeypatch, stream):
+    monkeypatch.setattr(ingest, "_PIECE_CHARS", piece_chars)
+    spec, text = stream
+    expected = per_field_oracle(spec, text)
+    assert read_all(spec, text) == expected
+    assert read_all(spec, io.StringIO(text, newline=None)) == expected
+
+
+def test_line_numbers_carry_across_pieces():
+    lines = [f"{n % 97 + 1}.5 {n}" for n in range(1, 20_001)]
+    for line_no in (1, 1_000, 19_999):
+        lines[line_no - 1] += " junk"
+    # a comment longer than a piece straddles a cut wherever pieces fall
+    lines[5_000 - 1] = "# " + "x" * (3 * ingest._PIECE_CHARS)
+    text = "\n".join(lines) + "\n"
+    for stream in (text, io.StringIO(text)):
+        diagnostics = []
+        tokens = list(read_numerals(InputSpec(), stream, diagnostics))
+        assert len(tokens) == 2 * 19_999
+        assert [(d.line, d.message) for d in diagnostics] == [
+            (line_no, "not a numeral: 'junk'") for line_no in (1, 1_000, 19_999)
+        ]
