@@ -146,12 +146,6 @@ def compare(
         raise UsageError("compare needs at least one candidate distribution")
     if summary.used < 1:
         raise EmptySampleError("cannot compare an empty sample")
-    for cand in candidates:
-        if cand.base != summary.base:
-            raise UsageError(
-                f"candidate {cand.label!r} uses base {cand.base}, "
-                f"sample uses {summary.base}"
-            )
     emp = empirical_distribution(summary)
     entries = []
     for cand in candidates:

@@ -125,17 +125,22 @@ def _piece_pattern(format: str) -> re.Pattern[str]:
     return re.compile(rf"(?:{hit}|[^\n]*)\n")
 
 
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
 def _text_pieces(text: str) -> Iterator[str]:
-    """Slice a string into pieces of whole lines, after turning CR and
-    CRLF into LF as a text file is read."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    """Slice a string into pieces of whole lines, turning CR and CRLF
+    into LF in each piece as a text file is read."""
     start, size = 0, len(text)
     while start < size:
-        stop = text.rfind("\n", start, start + _PIECE_CHARS) + 1
+        end = start + _PIECE_CHARS
+        stop = max(text.rfind("\n", start, end), text.rfind("\r", start, end)) + 1
         if not stop:
-            stop = text.find("\n", start + _PIECE_CHARS) + 1 or size
-        yield text[start:stop]
+            found = _LINE_END.search(text, end)
+            stop = found.end() if found else size
+        elif text.startswith("\r\n", stop - 1):
+            stop += 1  # never part a CRLF
+        yield text[start:stop].replace("\r\n", "\n").replace("\r", "\n")
         start = stop
 
 

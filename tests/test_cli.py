@@ -328,8 +328,26 @@ def test_an_empty_point_series_prints_as_the_encoder_prints_it():
     assert "".join(_json_points([])) == json.dumps({"points": []})[1:-1]
 
 
+@pytest.mark.parametrize("n_points", [0, 1, 127, 128, 129, 257])
+def test_json_pieces_match_the_encoder_text_of_the_points(n_points):
+    docs = [exact_point(1, m, 10) for m in range(1, n_points + 1)]
+    points = [(p["m"], p["count"], p["num"], p["den"], p["value"]) for p in docs]
+    pieces = list(_json_points(iter(points)))
+    # the points member at its depth in a report: items 10 deep, keys 12
+    report = {"result": {"series": [{"points": docs}]}}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    head = '{\n  "result": {\n    "series": [\n      {\n        '
+    tail = "\n      }\n    ]\n  }\n}"
+    assert text.startswith(head) and text.endswith(tail)
+    assert "".join(pieces) == text[len(head) : -len(tail)]
+    # the points 128 to a piece, then the closing bracket
+    full, rest = divmod(n_points, 128)
+    sizes = [128] * full + ([rest] if rest else [])
+    assert [piece.count('"m": ') for piece in pieces] == (sizes or [0]) + [0]
+
+
 @pytest.mark.parametrize(
-    "output, bound", [("json", 2_000_000), ("table", 400_000)], ids=["json", "table"]
+    "output, bound", [("json", 400_000), ("table", 400_000)], ids=["json", "table"]
 )
 def test_sweep_holds_no_per_point_memory(output, bound):
     argv = ["sweep", "--digit", "1", "--m-max", "200000", "--output", output]

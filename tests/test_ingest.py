@@ -395,6 +395,23 @@ def test_a_string_is_sliced_not_copied():
     assert as_str < 5_000_000
 
 
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_string_with_cr_line_ends_is_not_copied(line_end):
+    # CR and CRLF are turned into LF one piece at a time: a translated copy
+    # of the whole text would hold about 441 KB for these 50,000 lines
+    rng = random.Random(707)
+    text = "".join(f"{rng.lognormvariate(0, 3):.6g}{line_end}" for _ in range(50_000))
+    tally(read_numerals(InputSpec(), "1\n", []))  # compile the pattern first
+    tracemalloc.start()
+    try:
+        summary = tally(read_numerals(InputSpec(), text, []))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.total_read == 50_000
+    assert peak < 50_000
+
+
 def test_a_stream_is_read_one_small_piece_at_a_time():
     # Read in pieces, a stream peaks above the same lines given one at a
     # time by what a piece holds, its findall list the most: 3.0 KB at
