@@ -15,7 +15,8 @@ timing and is exempt from that guarantee.  Exact rationals appear as
 num/den pairs next to their decimal value.
 
 Exit codes: 0 success; 1 runtime failure (unreadable input, empty
-sample, capacity overflow); 2 usage error; 3 bound violation under
+sample, capacity overflow); 2 usage error (bad flags, or `--probs` values
+that are not a distribution); 3 bound violation under
 `analyze --require-bounds`.
 """
 
@@ -36,7 +37,7 @@ from . import __version__
 from .digits import MAX_BASE, MIN_BASE, check_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
 from .errors import CapacityError, DigitLawError, DomainError, UsageError
-from .fit import FitReport, compare
+from .fit import compare
 from .ingest import FORMATS, InputSpec, read_numerals
 from .lawtheory import (
     DigitBounds,
@@ -104,8 +105,7 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         "meta": {},
     }
     try:
-        params, result, diagnostics, exit_code = args.handle(args)
-        report.update(params=params, result=result, diagnostics=diagnostics)
+        exit_code = args.handle(args, report)
         report["meta"] = {
             "tool": "digitlaw",
             "version": __version__,
@@ -127,7 +127,7 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
                 os.close(devnull)
         else:
             print(f"digitlaw: {exc}", file=sys.stderr)
-        report["diagnostics"] = [{"message": str(exc)}]
+        report["diagnostics"].append({"message": str(exc)})
         code = EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAILURE
         return CommandOutcome(code, report)
     return CommandOutcome(exit_code, report)
@@ -251,16 +251,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ------------------------------------------------------------- handlers
+# ------------------------------------------------- report fields and handlers
+
+# A table cell's %-conversion, with {} where its width flag goes.
+_TEXT_CELL = "%{}s"
+_SIG4_CELL = "%#{}.4g"
+_sig4 = _SIG4_CELL.format("").__mod__
+
+# The columns of a table of docs: (header, doc key, width[, conversion]).
+# Each doc holds the keys its table prints, read from the record's
+# attributes of the same names, as _SAMPLE_KEYS and _LAW_KEYS are.
+_CANDIDATE_COLUMNS = (
+    ("label", "label", 10), ("r", "r", 12, _SIG4_CELL),
+    ("chi_square", "chi_square", 14, _SIG4_CELL), ("dof", "chi_square_dof", 6),
+    ("mad", "mad", 12, _SIG4_CELL), ("max_abs_dev", "max_abs_dev", 0, _SIG4_CELL),
+)
+_BOUNDS_COLUMNS = (
+    ("n", "digit", 4), ("lower", "lower", 18), ("p", "probability", 12, _SIG4_CELL),
+    ("upper", "upper", 18), ("within", "within", 0),
+)
+_CANDIDATE_KEYS = tuple(column[1] for column in _CANDIDATE_COLUMNS)
+_BOUNDS_KEYS = tuple(column[1] for column in _BOUNDS_COLUMNS)
+_SAMPLE_KEYS = ("source", "counts", "total_read", "used", "skipped_zero", "skipped_nonfinite")
+_LAW_KEYS = ("label", "probabilities")
 
 
-def _handle_theory(args) -> tuple[dict, dict, list, int]:
-    laws = [
-        {"label": name, "probabilities": list(law(args.base).probabilities)}
-        for name, law in _LAWS.items()
-    ]
-    result = {"digits": list(range(1, args.base)), "laws": laws}
-    return {}, result, [], EXIT_OK
+def _fraction_doc(fr: Fraction) -> dict:
+    return {"num": fr.numerator, "den": fr.denominator}
+
+
+def _doc(record, keys: Iterable[str]) -> dict:
+    """The record's attributes named by keys: a Fraction as num/den, a tuple as a list."""
+    doc = {}
+    for key in keys:
+        value = getattr(record, key)
+        if isinstance(value, Fraction):
+            value = _fraction_doc(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[key] = value
+    return doc
+
+
+def _handle_theory(args, report: dict) -> int:
+    report["result"] = {
+        "digits": list(range(1, args.base)),
+        "laws": [_doc(law(args.base), _LAW_KEYS) for law in _LAWS.values()],
+    }
+    return EXIT_OK
 
 
 def _sweep_digit(n: int, m_max: int, radix: int) -> dict:
@@ -273,7 +311,7 @@ def _sweep_digit(n: int, m_max: int, radix: int) -> dict:
     return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
 
 
-def _handle_sweep(args) -> tuple[dict, dict, list, int]:
+def _handle_sweep(args, report: dict) -> int:
     digits = range(1, args.base)
     if not args.all_digits:
         try:
@@ -282,16 +320,16 @@ def _handle_sweep(args) -> tuple[dict, dict, list, int]:
             raise UsageError(str(exc)) from None
     if args.m_max > INT_CAPACITY:
         raise CapacityError(f"sweep --m-max: {args.m_max} exceeds 2**63 - 1")
-    params = {
+    report["params"] = {
         "digit": None if args.all_digits else args.digit,
         "all_digits": bool(args.all_digits),
         "m_max": args.m_max,
     }
-    result = {
+    report["result"] = {
         "m_max": args.m_max,
         "series": [_sweep_digit(n, args.m_max, args.base) for n in digits],
     }
-    return params, result, [], EXIT_OK
+    return EXIT_OK
 
 
 def _parse_candidates(text: str) -> list[str]:
@@ -310,9 +348,9 @@ def _parse_candidates(text: str) -> list[str]:
     return names
 
 
-def _read_inputs(args, spec: InputSpec, base: int):
+def _read_inputs(args, spec: InputSpec, diagnostics: list[dict]) -> SampleSummary:
+    """Every input tallied into one sample; each input's diagnostics go to diagnostics."""
     summaries = []
-    diagnostics: list[dict] = []
     for label in args.input or [_STDIN_LABEL]:
         diags = []
         if args.input:
@@ -323,66 +361,19 @@ def _read_inputs(args, spec: InputSpec, base: int):
                 sys.stdin.reconfigure(encoding="utf-8", errors="replace")
             stream = contextlib.nullcontext(sys.stdin)
         with stream as lines:
-            summaries.append(tally(read_numerals(spec, lines, diags), base, source=label))
+            summaries.append(tally(read_numerals(spec, lines, diags), args.base, source=label))
         diagnostics.extend(
             {"source": label, "line": d.line, "message": d.message} for d in diags
         )
-    return merge(summaries), diagnostics
-
-
-def _fraction_doc(fr: Fraction) -> dict:
-    return {"num": fr.numerator, "den": fr.denominator}
+    return merge(summaries)
 
 
 def _bounds_doc(entries: Sequence[DigitBounds]) -> dict:
-    docs = [
-        {
-            "digit": entry.digit,
-            "lower": _fraction_doc(entry.lower),
-            "probability": entry.probability,
-            "upper": _fraction_doc(entry.upper),
-            "within": entry.within,
-        }
-        for entry in entries
-    ]
+    docs = [_doc(entry, _BOUNDS_KEYS) for entry in entries]
     return {"all_within": all(doc["within"] for doc in docs), "entries": docs}
 
 
-def _sample_doc(summary: SampleSummary) -> dict:
-    return {
-        "source": summary.source,
-        "counts": list(summary.counts),
-        "total_read": summary.total_read,
-        "used": summary.used,
-        "skipped_zero": summary.skipped_zero,
-        "skipped_nonfinite": summary.skipped_nonfinite,
-    }
-
-
-def _fit_doc(fit: FitReport) -> dict:
-    return {
-        "sample": _sample_doc(fit.sample),
-        "empirical": {
-            "probabilities": list(fit.empirical.probabilities),
-            "fractions": [_fraction_doc(fr) for fr in empirical_fractions(fit.sample)],
-        },
-        "candidates": [
-            {
-                "label": entry.label,
-                "r": entry.r,
-                "chi_square": entry.chi_square,
-                "chi_square_dof": entry.chi_square_dof,
-                "mad": entry.mad,
-                "max_abs_dev": entry.max_abs_dev,
-            }
-            for entry in fit.entries
-        ],
-        "best_by_r": fit.best_by_r,
-        "bounds": _bounds_doc(fit.bounds),
-    }
-
-
-def _handle_analyze(args) -> tuple[dict, dict, list, int]:
+def _handle_analyze(args, report: dict) -> int:
     if args.base == 2:
         raise UsageError("analyze needs base 3 or more: in base 2 every numeral leads with 1")
     names = _parse_candidates(args.candidates)
@@ -392,9 +383,7 @@ def _handle_analyze(args) -> tuple[dict, dict, list, int]:
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from None
-    summary, diagnostics = _read_inputs(args, spec, args.base)
-    fit = compare(summary, [_LAWS[name](args.base) for name in names])
-    params = {
+    report["params"] = {
         "inputs": list(args.input) if args.input else [_STDIN_LABEL],
         "format": args.format,
         "delimiter": args.delimiter,
@@ -402,14 +391,23 @@ def _handle_analyze(args) -> tuple[dict, dict, list, int]:
         "candidates": names,
         "require_bounds": bool(args.require_bounds),
     }
-    result = _fit_doc(fit)
-    exit_code = EXIT_OK
-    if args.require_bounds and not result["bounds"]["all_within"]:
-        exit_code = EXIT_BOUNDS
-    return params, result, diagnostics, exit_code
+    summary = _read_inputs(args, spec, report["diagnostics"])
+    fit = compare(summary, [_LAWS[name](args.base) for name in names])
+    bounds = _bounds_doc(fit.bounds)
+    report["result"] = {
+        "sample": _doc(fit.sample, _SAMPLE_KEYS),
+        "empirical": {
+            "probabilities": list(fit.empirical.probabilities),
+            "fractions": [_fraction_doc(fr) for fr in empirical_fractions(fit.sample)],
+        },
+        "candidates": [_doc(entry, _CANDIDATE_KEYS) for entry in fit.entries],
+        "best_by_r": fit.best_by_r,
+        "bounds": bounds,
+    }
+    return EXIT_BOUNDS if args.require_bounds and not bounds["all_within"] else EXIT_OK
 
 
-def _handle_bounds(args) -> tuple[dict, dict, list, int]:
+def _handle_bounds(args, report: dict) -> int:
     if args.dist is not None:
         dist = _LAWS[args.dist](args.base)
     else:
@@ -420,24 +418,18 @@ def _handle_bounds(args) -> tuple[dict, dict, list, int]:
                 f"got {len(pieces)}"
             )
         try:
-            probs = tuple(float(part) for part in pieces)
+            dist = DigitDistribution(args.base, tuple(map(float, pieces)), LABEL_CUSTOM)
+        except DomainError as exc:  # values that are not a distribution
+            raise UsageError(str(exc)) from None
         except ValueError as exc:
             raise UsageError(f"--probs: {exc}") from None
-        dist = DigitDistribution(args.base, probs, LABEL_CUSTOM)
-    params = {"dist": args.dist, "probs": None if args.probs is None else list(dist.probabilities)}
-    result = {
-        "label": dist.label,
-        "probabilities": list(dist.probabilities),
-        "bounds": _bounds_doc(bounds_check(dist)),
-    }
-    return params, result, [], EXIT_OK
+    probs = None if args.probs is None else list(dist.probabilities)
+    report["params"] = {"dist": args.dist, "probs": probs}
+    report["result"] = {**_doc(dist, _LAW_KEYS), "bounds": _bounds_doc(bounds_check(dist))}
+    return EXIT_OK
 
 
 # ------------------------------------------------------------- rendering
-
-
-def _sig4(x: float) -> str:
-    return format(x, "#.4g")
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
@@ -507,12 +499,6 @@ def _json_points(points: Iterable[tuple]) -> Iterator[str]:
     yield "\n        ]" if first else "]"
 
 
-# A table cell's %-conversion, with {} where its width flag goes.
-# _SIG4_CELL prints a float as _sig4 does.
-_TEXT_CELL = "%{}s"
-_SIG4_CELL = "%#{}.4g"
-
-
 def _table(
     indent: str, columns: Sequence[tuple], rows: Iterable[tuple]
 ) -> Iterator[str]:
@@ -566,32 +552,32 @@ def _render_sweep(report: dict) -> Iterator[str]:
             if not series[kind]:
                 yield "    (none in range)\n"
             for e in series[kind]:
-                yield (
-                    f"    k={e['k']}  m={e['m']}  "
-                    f"{e['num']}/{e['den']} = {_sig4(e['value'])}\n"
-                )
+                yield f"    k={e['k']}  m={e['m']}  {_fraction_cell(e)}\n"
 
 
 def _fraction_cell(fr: dict) -> str:
     return f"{fr['num']}/{fr['den']} = {_sig4(fr['num'] / fr['den'])}"
 
 
+def _cell(value):
+    """A doc value as a table prints it: num/den with its value, a bool as yes or NO."""
+    if isinstance(value, dict):
+        return _fraction_cell(value)
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    return value
+
+
+def _doc_table(columns: Sequence[tuple], docs: Iterable[dict]) -> Iterator[str]:
+    """A two-space-indented _table of (header, key, width[, conversion]) columns."""
+    keys = [column[1] for column in columns]
+    rows = (tuple(_cell(doc[key]) for key in keys) for doc in docs)
+    return _table("  ", [(column[0], *column[2:]) for column in columns], rows)
+
+
 def _render_bounds_block(doc: dict) -> Iterator[str]:
-    columns = [
-        ("n", 4), ("lower", 18), ("p", 12, _SIG4_CELL), ("upper", 18), ("within", 0)
-    ]
-    rows = (
-        (
-            entry["digit"],
-            _fraction_cell(entry["lower"]),
-            entry["probability"],
-            _fraction_cell(entry["upper"]),
-            "yes" if entry["within"] else "NO",
-        )
-        for entry in doc["entries"]
-    )
     verdict = "all digits within limits" if doc["all_within"] else "limit violations present"
-    yield from _table("  ", columns, rows)
+    yield from _doc_table(_BOUNDS_COLUMNS, doc["entries"])
     yield f"  {verdict}\n"
 
 
@@ -604,31 +590,15 @@ def _render_analyze(report: dict) -> Iterator[str]:
         (n, count, f"{fr['num']}/{fr['den']}", p)
         for n, (count, fr, p) in enumerate(per_digit, start=1)
     )
-    candidate_columns = [
-        ("label", 10), ("r", 12, _SIG4_CELL), ("chi_square", 14, _SIG4_CELL),
-        ("dof", 6), ("mad", 12, _SIG4_CELL), ("max_abs_dev", 0, _SIG4_CELL),
-    ]
-    candidate_rows = (
-        (
-            entry["label"],
-            entry["r"],
-            entry["chi_square"],
-            entry["chi_square_dof"],
-            entry["mad"],
-            entry["max_abs_dev"],
-        )
-        for entry in result["candidates"]
-    )
     yield (
-        f"sample {sample['source']}: read {sample['total_read']}, "
-        f"used {sample['used']}, skipped {sample['skipped_zero']} zero "
-        f"and {sample['skipped_nonfinite']} non-finite\n"
-    )
+        "sample {source}: read {total_read}, used {used}, skipped {skipped_zero} "
+        "zero and {skipped_nonfinite} non-finite\n"
+    ).format_map(sample)
     yield "empirical first-digit frequencies:\n"
     digit_columns = [("n", 4), ("count", 10), ("exact", 16), ("p", 0, _SIG4_CELL)]
     yield from _table("  ", digit_columns, digit_rows)
     yield "candidates:\n"
-    yield from _table("  ", candidate_columns, candidate_rows)
+    yield from _doc_table(_CANDIDATE_COLUMNS, result["candidates"])
     yield f"best by r: {result['best_by_r']}\n"
     yield "bound check of the sample:\n"
     yield from _render_bounds_block(result["bounds"])

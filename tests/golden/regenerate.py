@@ -114,6 +114,8 @@ CASES: list[tuple[str, list[str], str | None]] = [
         None,
     ),
     ("bounds-probs-count", ["bounds", "--probs", "0.5,0.5"], None),
+    # nine well-formed values that are not a distribution: they sum to 1.1
+    ("bounds-probs-sum", ["bounds", "--probs", "0.3,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1"], None),
     ("analyze-missing-input", ["analyze", "--input", "inputs/no-such-file.txt"], None),
     (
         "analyze-missing-column",

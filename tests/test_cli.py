@@ -492,6 +492,19 @@ def test_analyze_empty_sample_exits_one(tmp_path, capsys):
     assert "empty sample" in err
 
 
+def test_a_failed_report_keeps_the_diagnostics_read_before_the_failure(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0x10 1_000 abc\n"))
+    outcome = execute(["analyze"])
+    assert capsys.readouterr().err == "digitlaw: cannot compare an empty sample\n"
+    assert outcome.exit_code == EXIT_FAILURE
+    diagnostics = outcome.report["diagnostics"]
+    assert [d.get("source") for d in diagnostics] == ["<stdin>"] * 3 + [None]
+    assert all(d.get("line") == 1 for d in diagnostics[:3])
+    assert diagnostics[-1] == {"message": "cannot compare an empty sample"}
+
+
 def test_analyze_missing_file_exits_one(capsys):
     outcome = execute(["analyze", "--input", "/nonexistent/nowhere.txt"])
     err = capsys.readouterr().err
@@ -636,21 +649,21 @@ def test_bounds_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_bounds_mass_violation_is_a_runtime_error(capsys):
+def test_bounds_mass_violation_is_a_usage_error(capsys):
     # parses fine, but the probabilities do not form a distribution
     probs = ",".join(["0.5"] * 9)
     outcome = execute(["bounds", "--probs", probs])
     err = capsys.readouterr().err
-    assert outcome.exit_code == EXIT_FAILURE
+    assert outcome.exit_code == EXIT_USAGE
     assert "sum" in err
 
 
 @pytest.mark.parametrize("output", ["table", "json"])
-def test_bounds_nan_probability_is_a_runtime_error(output, capsys):
+def test_bounds_nan_probability_is_a_usage_error(output, capsys):
     argv = ["bounds", "--base", "3", "--probs", "nan,0.5", "--output", output]
     outcome = execute(argv)
     captured = capsys.readouterr()
-    assert outcome.exit_code == EXIT_FAILURE
+    assert outcome.exit_code == EXIT_USAGE
     assert captured.err == "digitlaw: probabilities must lie in [0, 1]\n"
     assert captured.out == ""
 
