@@ -349,9 +349,27 @@ def _parse_candidates(text: str) -> list[str]:
 
 
 def _read_inputs(args, spec: InputSpec, diagnostics: list[dict]) -> SampleSummary:
-    """Every input tallied into one sample; each input's diagnostics go to diagnostics."""
+    """Every input tallied into one sample; each input's diagnostics go to diagnostics.
+
+    Several inputs go to parallel.read_in_shares, imported only for them,
+    which may read them in forked shares, each by _read_share.
+    """
+    if args.input and len(args.input) > 1:
+        from .parallel import read_in_shares
+
+        def read_share(share, diags):
+            return _read_share(args, spec, share, diags)
+
+        return read_in_shares(args.input, read_share, diagnostics)
+    return _read_share(args, spec, args.input or [_STDIN_LABEL], diagnostics)
+
+
+def _read_share(
+    args, spec: InputSpec, share: list[str], diagnostics: list[dict]
+) -> SampleSummary:
+    """The inputs of share tallied into one sample; their diagnostics go to diagnostics."""
     summaries = []
-    for label in args.input or [_STDIN_LABEL]:
+    for label in share:
         diags = []
         if args.input:
             stream = open(label, "r", encoding="utf-8", errors="replace")
@@ -412,11 +430,6 @@ def _handle_bounds(args, report: dict) -> int:
         dist = _LAWS[args.dist](args.base)
     else:
         pieces = [part.strip() for part in args.probs.split(",") if part.strip()]
-        if len(pieces) != args.base - 1:
-            raise UsageError(
-                f"--probs needs {args.base - 1} values for base {args.base}, "
-                f"got {len(pieces)}"
-            )
         try:
             dist = DigitDistribution(args.base, tuple(map(float, pieces)), LABEL_CUSTOM)
         except DomainError as exc:  # values that are not a distribution

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,7 @@ from digitlaw.lawtheory import (
     geometric_mean_distribution,
     leading_digit_count,
 )
+from digitlaw.parallel import plan
 
 
 def run_json(argv, capsys):
@@ -584,6 +586,125 @@ def test_analyze_column_past_every_line_is_structural_at_any_size(
     assert capsys.readouterr().err == (
         f"digitlaw: column {column} missing from every one of the 2 data line(s)\n"
     )
+
+
+def force_forking(monkeypatch, cpus=2):
+    """Every analyze of several regular files forks, whatever their size, with cpus CPUs."""
+    monkeypatch.setattr("digitlaw.parallel.FORK_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """The list that each child's pid is appended to as os.fork makes it."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def without_meta(outcome):
+    return outcome.exit_code, {k: v for k, v in outcome.report.items() if k != "meta"}
+
+
+def test_forked_and_serial_reports_are_equal(tmp_path, monkeypatch, capsys):
+    paths = []
+    for i in range(6):
+        lines = [str(17 * i + j) for j in range(1, 40)]
+        if i in (1, 4):
+            lines[i + 2] = f"x{i}"  # a bad token on line i + 3
+        paths.append(tmp_path / f"part{i}.txt")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    argv = ["analyze", "--output", "json"] + [a for p in paths for a in ("--input", str(p))]
+    serial = execute(argv)
+    force_forking(monkeypatch, cpus=3)
+    forks = count_forks(monkeypatch)
+    forked = execute(argv)
+    capsys.readouterr()
+    assert len(forks) == 2
+    assert without_meta(forked) == without_meta(serial)
+    assert [(d["source"], d["line"]) for d in forked.report["diagnostics"]] == [
+        (str(paths[1]), 4),
+        (str(paths[4]), 7),
+    ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["missing-first", "missing-later", "column-later"])
+def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch, capsys):
+    good = []
+    for i in range(3):
+        good.append(str(tmp_path / f"good{i}.csv"))
+        Path(good[-1]).write_text(f"1,2\n3,x{i}\n5,6\n")
+    short = tmp_path / "short.csv"
+    short.write_text("1\n2\n")
+    missing = str(tmp_path / "missing.csv")
+    inputs, shares = {
+        "missing-first": ([missing, *good[:2]], [[missing, good[0]], [good[1]]]),
+        "missing-later": ([*good[:2], missing, good[2]], [[good[0]], [good[1], missing, good[2]]]),
+        "column-later": ([*good[:2], str(short)], [[good[0]], [good[1], str(short)]]),
+    }[case]
+    argv = ["analyze", "--format", "delimited", "--column", "2"]
+    argv += [a for path in inputs for a in ("--input", path)]
+    serial = execute(argv)
+    serial_err = capsys.readouterr().err
+    force_forking(monkeypatch)
+    forks = count_forks(monkeypatch)
+    assert plan(inputs) == shares
+    forked = execute(argv)
+    assert capsys.readouterr().err == serial_err
+    assert len(forks) == 1
+    assert forked.exit_code == serial.exit_code == EXIT_FAILURE
+    assert forked.report["diagnostics"] == serial.report["diagnostics"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stdin_one_input_and_a_fifo_are_read_without_forking(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("12 13 24\n")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    force_forking(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("12 13 24\n"))
+    assert run_json(["analyze"], capsys)["result"]["sample"]["used"] == 3
+    assert run_json(["analyze", "--input", str(path)], capsys)["result"]["sample"]["used"] == 3
+    # a writer process, not a thread: a process running threads does not fork at all
+    script = "import sys; open(sys.argv[1], 'w').write('31 41\\n')"
+    with subprocess.Popen([sys.executable, "-c", script, str(fifo)]) as writer:
+        try:
+            doc = run_json(["analyze", "--input", str(fifo), "--input", str(path)], capsys)
+        finally:  # a writer left waiting for a reader is ended, not waited for
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                writer.wait(timeout=60)
+            writer.kill()
+    assert writer.returncode == 0
+    assert doc["result"]["sample"]["used"] == 5
+
+
+def test_a_process_running_threads_does_not_fork(tmp_path, monkeypatch, capsys):
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path in paths:
+        path.write_text("12 13 24\n")
+    force_forking(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(60,))
+    other.start()
+    try:
+        doc = run_json(["analyze", "--input", str(paths[0]), "--input", str(paths[1])], capsys)
+    finally:
+        done.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert doc["result"]["sample"]["used"] == 6
 
 
 def test_analyze_base_two_fails_loudly_not_silently(segment_file, capsys):

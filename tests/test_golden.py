@@ -5,6 +5,7 @@ tests/golden/regenerate.py.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +28,16 @@ def test_golden_output(name, argv, stdin):
         STATUS[name]["exit_code"],
         STATUS[name]["stderr"],
     )
+
+
+@pytest.mark.parametrize(
+    "name, argv, stdin", CASES, ids=[name for name, _, _ in CASES]
+)
+def test_golden_output_with_forked_shares(name, argv, stdin, monkeypatch):
+    """The same bytes when every analyze of several inputs is read in forked shares."""
+    monkeypatch.setattr("digitlaw.parallel.FORK_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    test_golden_output(name, argv, stdin)
 
 
 def test_every_golden_file_has_a_case():
