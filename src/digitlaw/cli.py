@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -89,12 +90,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 def execute(argv: Sequence[str]) -> CommandOutcome:
     """Run one command line and emit its report to --out or stdout."""
     started = time.perf_counter()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return CommandOutcome(code, None)
+    # The parser's objects, about 40 KB, hold reference cycles that only the
+    # cycle collector frees.  Freed now, their memory is reused by the command.
+    gc.collect()
 
     report: dict = {
         "command": args.command,

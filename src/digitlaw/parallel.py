@@ -1,47 +1,45 @@
 """Read several inputs in forked shares, one per usable CPU, merged exactly.
 
 `analyze` pools its inputs into one sample.  When they are regular files
-of more than FORK_BYTES in all, read_in_shares cuts the input list into
-contiguous shares of about equal size, one per CPU the process may run
-on, forks a child for each share but the first and reads the first
-itself.  A child sends its share's sample and diagnostics back as text
-over a pipe.  Digit counts add exactly (empirical.merge), so the shares
-merged in input order give the sample, the diagnostics and their line
-numbers of a read in one process.  A share whose child fails is read
-again in this process, so that it fails as a read in one process does.
-The CLI imports this module only for an `analyze` of several inputs.
+and the process may run on two or more CPUs, read_in_shares cuts the
+input list into contiguous shares of about equal size, one per CPU, forks
+a child for each share but the first and reads the first itself.  A fork,
+a short reply over a pipe and a waitpid took 1.5 to 2 ms in the CLI
+process (medians of 50, CPython 3.11 on 2 shared CPUs).  A child sends its
+share's sample and diagnostics back as text over a pipe.  Digit counts
+add exactly (empirical.merge), so the shares merged in input order give
+the sample, the diagnostics and their line numbers of a read in one
+process.  A share whose child fails is read again in this process, so
+that it fails as a read in one process does.  The CLI imports this module
+only for an `analyze` of several inputs.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from .empirical import SampleSummary, merge
 
-# A fork, a reply over a pipe and a waitpid took 1.5 to 2 ms in the CLI
-# process (medians of 50, CPython 3.11 on 2 shared CPUs), and reading 256 KiB
-# of spectra about 13 ms.
-FORK_BYTES = 256 * 1024
-
-# A reply is text fields joined by NUL: the sample's base, counts,
+# A reply is text fields, each ended by NUL: the sample's base, counts,
 # skipped_zero, skipped_nonfinite and source, then for each diagnostic the
 # place of its source in the share, its line and its message.  Naming the
 # source by place lets every diagnostic share the label string that a read
 # in this process would give it.  No path holds a NUL, and messages show
-# tokens by repr; a reply with a NUL in a field is not sent.
+# tokens by repr; a child whose field holds one fails.
 _SEP = "\0"
+_PIECE_CHARS = 8192  # a reply is read this many characters at a time
+_SIGKILL = 9  # signal.SIGKILL on every POSIX system
 
 
 def plan(inputs: list[str]) -> list[list[str]]:
     """The inputs cut into contiguous shares of about equal size, one per usable CPU.
 
     One share, read in this process, unless every input is a regular file
-    or absent (its read then fails in any process alike), they hold more
-    than FORK_BYTES in all, and there are os.fork and two CPUs to use.  A
-    process running other threads does not fork: a lock one of them holds
-    would stay held in the child.
+    or absent (its read then fails in any process alike) and there are
+    os.fork and two CPUs to use.  A process running other threads does not
+    fork: a lock one of them holds would stay held in the child.
     """
     if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
         return [inputs]
@@ -58,8 +56,6 @@ def plan(inputs: list[str]) -> list[list[str]]:
         else:
             sizes.append(0)
     k, total = min(cpus, len(inputs)), sum(sizes)
-    if k < 2 or total <= FORK_BYTES:
-        return [inputs]
     shares: list[list[str]] = []
     done = 0
     for label, size in zip(inputs, sizes):
@@ -69,6 +65,13 @@ def plan(inputs: list[str]) -> list[list[str]]:
         shares[-1].append(label)
         done += size
     return shares
+
+
+def _send(pipe, fields: tuple) -> None:
+    for field in map(str, fields):
+        if _SEP in field:
+            raise ValueError(f"a reply field holds NUL: {field!r}")
+        pipe.write(field + _SEP)
 
 
 def _fork(read_share: Callable, share: list[str]) -> tuple:
@@ -84,21 +87,40 @@ def _fork(read_share: Callable, share: list[str]) -> tuple:
         code = 1
         try:
             diagnostics: list[dict] = []
-            summary = read_share(share, diagnostics)
-            fields = [summary.base, *summary.counts, summary.skipped_zero]
-            fields += summary.skipped_nonfinite, summary.source
+            s = read_share(share, diagnostics)
             place = {label: i for i, label in enumerate(share)}
-            for d in diagnostics:
-                fields += place[d["source"]], d["line"], d["message"]
-            reply = _SEP.join(map(str, fields))
-            if reply.count(_SEP) == len(fields) - 1:
-                with open(write_fd, "w", encoding="utf-8") as pipe:
-                    pipe.write(reply)
-                code = 0
+            with open(write_fd, "w", encoding="utf-8", newline="") as pipe:
+                _send(pipe, (s.base, *s.counts, s.skipped_zero, s.skipped_nonfinite, s.source))
+                for d in diagnostics:
+                    _send(pipe, (place[d["source"]], d["line"], d["message"]))
+            code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return pid, open(read_fd, encoding="utf-8", newline="")
+
+
+def _fields(pipe) -> Iterator[str]:
+    """The NUL-ended fields of a reply, read _PIECE_CHARS characters at a time."""
+    rest = ""
+    while piece := pipe.read(_PIECE_CHARS):
+        *fields, rest = (rest + piece).split(_SEP)
+        yield from fields
+
+
+def _take(fields: Iterator[str], share: list[str], diagnostics: list[dict]) -> SampleSummary:
+    """The sample of a reply; its diagnostics go to diagnostics.
+
+    A failed child's reply is cut short, and raises StopIteration here.
+    """
+    base = int(next(fields))
+    counts = [int(next(fields)) for _ in range(base - 1)]
+    skips = int(next(fields)), int(next(fields))
+    summary = SampleSummary(base, tuple(counts), *skips, next(fields))
+    for place in fields:
+        line, message = int(next(fields)), next(fields)
+        diagnostics.append({"source": share[int(place)], "line": line, "message": message})
+    return summary
 
 
 def read_in_shares(
@@ -113,23 +135,22 @@ def read_in_shares(
         summaries = [read_share(first, diagnostics)]
         while children:
             pid, pipe, share = children[0]
+            taken: list[dict] = []
             with pipe:
-                reply = pipe.read()
+                try:
+                    summary = _take(_fields(pipe), share, taken)
+                except StopIteration:
+                    summary = None
             failed = os.waitpid(pid, 0)[1]
             del children[0]
-            if failed:
-                summaries.append(read_share(share, diagnostics))
-                continue
-            fields = reply.decode("utf-8").split(_SEP)
-            base = int(fields[0])
-            counts = tuple(map(int, fields[1:base]))
-            skips = int(fields[base]), int(fields[base + 1])
-            summaries.append(SampleSummary(base, counts, *skips, fields[base + 2]))
-            for i in range(base + 3, len(fields), 3):
-                source, line = share[int(fields[i])], int(fields[i + 1])
-                diagnostics.append({"source": source, "line": line, "message": fields[i + 2]})
-    finally:  # close every pipe first: a child also holds those forked before it
-        for _, pipe, _ in children:
+            if failed or summary is None:
+                summary = read_share(share, diagnostics)
+            else:
+                diagnostics += taken
+            summaries.append(summary)
+    finally:  # children are left here only after an error: end them, not wait for them
+        for pid, pipe, _ in children:
+            os.kill(pid, _SIGKILL)
             pipe.close()
         for pid, _, _ in children:
             os.waitpid(pid, 0)

@@ -588,9 +588,8 @@ def test_analyze_column_past_every_line_is_structural_at_any_size(
     )
 
 
-def force_forking(monkeypatch, cpus=2):
-    """Every analyze of several regular files forks, whatever their size, with cpus CPUs."""
-    monkeypatch.setattr("digitlaw.parallel.FORK_BYTES", 0)
+def use_cpus(monkeypatch, cpus):
+    """The process may run on cpus CPUs: one reads in one process, more in forked shares."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
@@ -621,8 +620,9 @@ def test_forked_and_serial_reports_are_equal(tmp_path, monkeypatch, capsys):
         paths.append(tmp_path / f"part{i}.txt")
         paths[-1].write_text("\n".join(lines) + "\n")
     argv = ["analyze", "--output", "json"] + [a for p in paths for a in ("--input", str(p))]
+    use_cpus(monkeypatch, 1)
     serial = execute(argv)
-    force_forking(monkeypatch, cpus=3)
+    use_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
     forked = execute(argv)
     capsys.readouterr()
@@ -652,9 +652,10 @@ def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch
     }[case]
     argv = ["analyze", "--format", "delimited", "--column", "2"]
     argv += [a for path in inputs for a in ("--input", path)]
+    use_cpus(monkeypatch, 1)
     serial = execute(argv)
     serial_err = capsys.readouterr().err
-    force_forking(monkeypatch)
+    use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     assert plan(inputs) == shares
     forked = execute(argv)
@@ -671,7 +672,7 @@ def test_stdin_one_input_and_a_fifo_are_read_without_forking(tmp_path, monkeypat
     path.write_text("12 13 24\n")
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    force_forking(monkeypatch)
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     monkeypatch.setattr(sys, "stdin", io.StringIO("12 13 24\n"))
     assert run_json(["analyze"], capsys)["result"]["sample"]["used"] == 3
@@ -693,7 +694,7 @@ def test_a_process_running_threads_does_not_fork(tmp_path, monkeypatch, capsys):
     paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
     for path in paths:
         path.write_text("12 13 24\n")
-    force_forking(monkeypatch)
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     done = threading.Event()
     other = threading.Thread(target=done.wait, args=(60,))
@@ -1065,6 +1066,7 @@ PACKAGE_IMPORTS = {
     "dataclasses",
     "fractions",
     "functools",
+    "gc",
     "itertools",
     "json",
     "math",

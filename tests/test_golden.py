@@ -35,8 +35,16 @@ def test_golden_output(name, argv, stdin):
 )
 def test_golden_output_with_forked_shares(name, argv, stdin, monkeypatch):
     """The same bytes when every analyze of several inputs is read in forked shares."""
-    monkeypatch.setattr("digitlaw.parallel.FORK_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    test_golden_output(name, argv, stdin)
+
+
+@pytest.mark.parametrize(
+    "name, argv, stdin", CASES, ids=[name for name, _, _ in CASES]
+)
+def test_golden_output_in_one_process(name, argv, stdin, monkeypatch):
+    """The same bytes when every analyze is read in one process, as on one CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     test_golden_output(name, argv, stdin)
 
 

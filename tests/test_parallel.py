@@ -6,19 +6,19 @@ whose text a reply must keep exactly, and one it cannot carry.
 """
 
 import os
+import time
 
 import pytest
 
 from digitlaw import parallel
 from digitlaw.empirical import SampleSummary, merge
 
-MESSAGES = ["not a numeral: 'x'", "tab\there", "line\nbreak", "ünïcödé ✓", "", "nul\0inside"]
+MESSAGES = ["not a numeral: 'x'", "tab\there", "line\nbreak\r\nand\r", "ünïcödé ✓", "", "nul\0inside"]
 
 
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
-    """Six equal files, and three CPUs to read them with, whatever their size."""
-    monkeypatch.setattr(parallel, "FORK_BYTES", 0)
+    """Six equal files, and three CPUs to read them with."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     paths = [str(tmp_path / str(i)) for i in range(6)]
     for path in paths:
@@ -38,7 +38,16 @@ def test_plan_keeps_an_empty_last_input_in_the_last_share(inputs, tmp_path):
     assert parallel.plan([*inputs[:2], str(empty)]) == [inputs[:1], [inputs[1], str(empty)]]
 
 
-def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(inputs):
+def test_one_cpu_reads_in_one_share(inputs, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.plan(inputs) == [inputs]
+
+
+@pytest.mark.parametrize("piece", [3, parallel._PIECE_CHARS])
+def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
+    piece, inputs, monkeypatch
+):
+    monkeypatch.setattr(parallel, "_PIECE_CHARS", piece)
     read_here = []
     pid = os.getpid()
 
@@ -59,5 +68,22 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(inputs)
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
     # the first share is read here, and the share whose message holds a NUL again
     assert read_here == [inputs[0:2], inputs[4:6]]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_error_here_stops_the_children_without_waiting_for_them(inputs):
+    pid = os.getpid()
+
+    def read_share(share, diagnostics):
+        if os.getpid() == pid:
+            raise OSError("the first share is unreadable")
+        time.sleep(60)
+        return SampleSummary(10, [0] * 9, 0, 0, share[0])
+
+    started = time.monotonic()
+    with pytest.raises(OSError, match="first share"):
+        parallel.read_in_shares(inputs, read_share, [])
+    assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
