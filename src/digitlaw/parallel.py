@@ -30,7 +30,7 @@ from .empirical import SampleSummary, merge
 # tokens by repr; a child whose field holds one fails.
 _SEP = "\0"
 _PIECE_CHARS = 8192  # a reply is read this many characters at a time
-_SIGKILL = 9  # signal.SIGKILL on every POSIX system
+_SIGKILL = 9  # signal.SIGKILL on every POSIX system: no handler of the caller runs in the child
 
 
 def plan(inputs: list[str]) -> list[list[str]]:

@@ -13,7 +13,9 @@ import pytest
 from digitlaw import parallel
 from digitlaw.empirical import SampleSummary, merge
 
-MESSAGES = ["not a numeral: 'x'", "tab\there", "line\nbreak\r\nand\r", "ünïcödé ✓", "", "nul\0inside"]
+MESSAGES = [
+    "not a numeral: 'x'", "tab\there", "line\nbreak\r\nand\r", "ünïcödé ✓", "", "nul\0inside"
+]
 
 
 @pytest.fixture
