@@ -15,9 +15,9 @@ timing and is exempt from that guarantee.  Exact rationals appear as
 num/den pairs next to their decimal value.
 
 Exit codes: 0 success; 1 runtime failure (unreadable input, empty
-sample, capacity overflow); 2 usage error (bad flags, or `--probs` values
-that are not a distribution); 3 bound violation under
-`analyze --require-bounds`.
+sample, a `sweep --m-max` too large to index); 2 usage error (bad flags,
+or `--probs` values that are not a distribution); 3 bound violation
+under `analyze --require-bounds`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .ingest import FORMATS, InputSpec, read_numerals
 from .lawtheory import (
     DigitBounds,
     DigitDistribution,
-    INT_CAPACITY,
     KIND_MIN,
     LABEL_CUSTOM,
     arithmetic_mean_distribution,
@@ -321,7 +320,7 @@ def _handle_sweep(args, report: dict) -> int:
             digits = [check_digit(args.digit, args.base)]
         except DomainError as exc:
             raise UsageError(str(exc)) from None
-    if args.m_max > INT_CAPACITY:
+    if args.m_max > 2**63 - 1:  # the one limit on a report: m past one machine word
         raise CapacityError(f"sweep --m-max: {args.m_max} exceeds 2**63 - 1")
     report["params"] = {
         "digit": None if args.all_digits else args.digit,

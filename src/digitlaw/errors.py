@@ -14,7 +14,7 @@ class ParseError(DigitLawError, ValueError):
 
 
 class CapacityError(DigitLawError, OverflowError):
-    """An exact integer quantity would exceed the supported width."""
+    """A `sweep --m-max` past the width the CLI indexes; the library has no limit."""
 
 
 class EmptySampleError(DigitLawError, ValueError):

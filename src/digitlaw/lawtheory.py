@@ -12,7 +12,8 @@ sit remarkably close to the logarithmic (Benford) distribution; the
 degenerate base 2 collapses all of them to the single certainty P(1) = 1.
 
 Everything indexed by m or k is computed in exact integer and rational
-arithmetic; floating point appears only inside DigitDistribution.
+arithmetic of any width; floating point appears only inside
+DigitDistribution.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .digits import check_base, check_digit
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 KIND_MIN = "min"
 KIND_MAX = "max"
@@ -38,11 +39,6 @@ LABEL_CUSTOM = "custom"
 _MONOTONE_LABELS = frozenset({LABEL_BENFORD, LABEL_GEOM, LABEL_ARITH})
 
 PROBABILITY_SUM_TOL = 1e-12
-
-# Exact segment quantities (locations m, powers N^k, run endpoints) must
-# stay within one signed 64-bit word; beyond it the toolkit refuses
-# loudly instead of producing reports nobody can index.
-INT_CAPACITY = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -96,15 +92,6 @@ class ExtremalFrequency:
         check_digit(self.digit, self.base)
         _require_kind(self.kind)
         _require_positive("k", self.k)
-        context = (
-            f"extremal_frequency(n={self.digit}, k={self.k}, "
-            f"kind={self.kind}, base={self.base})"
-        )
-        # Only the location is capped; the closed form's terms are exact ints
-        # of any size.  Past k = 63 every location exceeds the cap.
-        if self.k > 63:
-            raise CapacityError(f"{context}: {self.base}**{self.k} exceeds 2**63 - 1")
-        _check_capacity(self.location_m, context)
 
     @property
     def location_m(self) -> int:
@@ -149,11 +136,6 @@ def _require_kind(kind: str) -> None:
 def _require_positive(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_capacity(quantity: int, context: str) -> None:
-    if quantity > INT_CAPACITY:
-        raise CapacityError(f"{context}: {quantity} exceeds 2**63 - 1")
 
 
 def benford(base: int = 10) -> DigitDistribution:
@@ -239,7 +221,6 @@ def leading_digit_count(n: int, m: int, base: int = 10) -> int:
     """
     check_digit(n, base)
     _require_positive("m", m)
-    _check_capacity(m, f"leading_digit_count(n={n}, m={m}, base={base})")
     count = 0
     for start, stop in _runs(n, base):
         if start > m:
@@ -262,7 +243,6 @@ def frequency_series(
     """
     check_digit(n, base)
     _require_positive("m_max", m_max)
-    _check_capacity(m_max, f"frequency_series(n={n}, m_max={m_max}, base={base})")
     return _series(n, base, m_max)
 
 
@@ -308,12 +288,14 @@ def extremum_locations(
 ) -> tuple[tuple[int, int], ...]:
     """Locations (m_min, m_max) of the first k_max successive extrema.
 
-    They are the extrema_within the k_max-th maximum (none in base 2).  Past
-    k = 64 every location is above the cap, so a walk that far already fails.
+    They are the extrema_within the k_max-th maximum.  Base 2 has none, so it
+    returns at once, before that maximum's N^k_max would be built.
     """
     check_digit(n, base)
     _require_positive("k_max", k_max)
-    last = _location(n, min(k_max, 64), KIND_MAX, base)
+    if base == 2:
+        return ()
+    last = _location(n, k_max, KIND_MAX, base)
     locations = [e.location_m for e in extrema_within(n, last, base)]
     return tuple(zip(locations[::2], locations[1::2]))
 

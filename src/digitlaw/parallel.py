@@ -6,7 +6,8 @@ input list into contiguous shares of about equal size, one per CPU, forks
 a child for each share but the first and reads the first itself.  A fork,
 a short reply over a pipe and a waitpid took 1.5 to 2 ms in the CLI
 process (medians of 50, CPython 3.11 on 2 shared CPUs).  A child sends its
-share's sample and diagnostics back as text over a pipe.  Digit counts
+share's sample and diagnostics back over a pipe as marshal records, which
+the parent, the same interpreter, reads one at a time.  Digit counts
 add exactly (empirical.merge), so the shares merged in input order give
 the sample, the diagnostics and their line numbers of a read in one
 process.  A share whose child fails is read again in this process, so
@@ -16,20 +17,18 @@ only for an `analyze` of several inputs.
 
 from __future__ import annotations
 
+import marshal
 import os
 import sys
-from typing import Callable, Iterator
+from typing import Callable
 
 from .empirical import SampleSummary, merge
 
-# A reply is text fields, each ended by NUL: the sample's base, counts,
-# skipped_zero, skipped_nonfinite and source, then for each diagnostic the
-# place of its source in the share, its line and its message.  Naming the
-# source by place lets every diagnostic share the label string that a read
-# in this process would give it.  No path holds a NUL, and messages show
-# tokens by repr; a child whose field holds one fails.
-_SEP = "\0"
-_PIECE_CHARS = 8192  # a reply is read this many characters at a time
+# A reply is marshal records: (counts, skipped_zero, skipped_nonfinite, source)
+# of the share's sample, then (place, line, message) of each diagnostic, place
+# being where its source stands in the share.  Naming the source by place lets
+# every diagnostic share the label string that a read in this process would
+# give it.  marshal is loaded at interpreter start, so this imports nothing.
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system: no handler of the caller runs in the child
 
 
@@ -67,13 +66,6 @@ def plan(inputs: list[str]) -> list[list[str]]:
     return shares
 
 
-def _send(pipe, fields: tuple) -> None:
-    for field in map(str, fields):
-        if _SEP in field:
-            raise ValueError(f"a reply field holds NUL: {field!r}")
-        pipe.write(field + _SEP)
-
-
 def _fork(read_share: Callable, share: list[str]) -> tuple:
     """(pid, pipe) of a child forked to write the reply for share to pipe."""
     read_fd, write_fd = os.pipe()
@@ -89,38 +81,31 @@ def _fork(read_share: Callable, share: list[str]) -> tuple:
             diagnostics: list[dict] = []
             s = read_share(share, diagnostics)
             place = {label: i for i, label in enumerate(share)}
-            with open(write_fd, "w", encoding="utf-8", newline="") as pipe:
-                _send(pipe, (s.base, *s.counts, s.skipped_zero, s.skipped_nonfinite, s.source))
+            with open(write_fd, "wb") as pipe:
+                marshal.dump((s.counts, s.skipped_zero, s.skipped_nonfinite, s.source), pipe)
                 for d in diagnostics:
-                    _send(pipe, (place[d["source"]], d["line"], d["message"]))
+                    marshal.dump((place[d["source"]], d["line"], d["message"]), pipe)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, encoding="utf-8", newline="")
+    return pid, open(read_fd, "rb")
 
 
-def _fields(pipe) -> Iterator[str]:
-    """The NUL-ended fields of a reply, read _PIECE_CHARS characters at a time."""
-    rest = ""
-    while piece := pipe.read(_PIECE_CHARS):
-        *fields, rest = (rest + piece).split(_SEP)
-        yield from fields
-
-
-def _take(fields: Iterator[str], share: list[str], diagnostics: list[dict]) -> SampleSummary:
+def _take(pipe, share: list[str], diagnostics: list[dict]) -> SampleSummary:
     """The sample of a reply; its diagnostics go to diagnostics.
 
-    A failed child's reply is cut short, and raises StopIteration here.
+    The records are read one at a time, to the end of the pipe.  A failed
+    child's reply is cut short, and raises EOFError here if it has no sample.
     """
-    base = int(next(fields))
-    counts = [int(next(fields)) for _ in range(base - 1)]
-    skips = int(next(fields)), int(next(fields))
-    summary = SampleSummary(base, tuple(counts), *skips, next(fields))
-    for place in fields:
-        line, message = int(next(fields)), next(fields)
-        diagnostics.append({"source": share[int(place)], "line": line, "message": message})
-    return summary
+    counts, *skips, source = marshal.load(pipe)
+    summary = SampleSummary(len(counts) + 1, counts, *skips, source)
+    while True:
+        try:
+            place, line, message = marshal.load(pipe)
+        except EOFError:
+            return summary
+        diagnostics.append({"source": share[place], "line": line, "message": message})
 
 
 def read_in_shares(
@@ -138,8 +123,8 @@ def read_in_shares(
             taken: list[dict] = []
             with pipe:
                 try:
-                    summary = _take(_fields(pipe), share, taken)
-                except StopIteration:
+                    summary = _take(pipe, share, taken)
+                except EOFError:
                     summary = None
             failed = os.waitpid(pid, 0)[1]
             del children[0]

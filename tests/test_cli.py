@@ -1069,6 +1069,7 @@ PACKAGE_IMPORTS = {
     "gc",
     "itertools",
     "json",
+    "marshal",
     "math",
     "os",
     "re",

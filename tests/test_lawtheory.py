@@ -2,15 +2,15 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitlaw.digits import leading_digit_int
-from digitlaw.errors import CapacityError, DigitLawError, DomainError
+from digitlaw.errors import DigitLawError, DomainError
 from digitlaw.lawtheory import (
-    INT_CAPACITY,
     KIND_MAX,
     KIND_MIN,
     DigitBounds,
@@ -129,29 +129,17 @@ def test_extremal_frequency_locations_follow_the_pattern():
             )
 
 
-def test_extremal_frequency_runs_cleanly_at_high_k_and_other_bases():
-    # k caps keep (n+1)*N^k inside the 2**63 - 1 capacity limit
-    for base, k_cap in ((3, 30), (10, 15), (16, 13), (36, 11)):
-        for n in (1, base // 2, base - 1):
-            for k in range(1, k_cap + 1):
-                extremal_frequency(max(n, 1), k, KIND_MIN, base)
-                extremal_frequency(max(n, 1), k, KIND_MAX, base)
-
-
 def test_extremal_frequency_closed_form_equals_digit_sum_form():
     """The closed form is the telescoped ratio of digit-string sums: a
     width-k run of ones (the repunit) over the all-(N-1) tail that
     precedes the next block of leading digit n.  Every base, every digit,
-    every k up to the capacity cap."""
+    k up to 200, far past one machine word."""
     checked = 0
     for base in range(3, 37):
         for n in range(1, base):
             for kind in (KIND_MIN, KIND_MAX):
-                for k in itertools.count(1):
-                    try:
-                        extremum = extremal_frequency(n, k, kind, base)
-                    except CapacityError:
-                        break
+                for k in range(1, 201):
+                    extremum = extremal_frequency(n, k, kind, base)
                     power = base**k
                     repunit = (power - 1) // (base - 1)
                     if kind == KIND_MIN:
@@ -164,27 +152,30 @@ def test_extremal_frequency_closed_form_equals_digit_sum_form():
                         )
                     assert extremum.value == by_digit_sums, (base, n, kind, k)
                     checked += 1
-                assert k > 1, (base, n, kind)
-    assert checked > 10_000
-
-
-def test_extremal_frequency_caps_the_location_only():
-    # N^(k+1) - 1 = 10**19 - 1 exceeds 2**63 - 1, but the location fits
-    extremum = extremal_frequency(1, 18, KIND_MAX)
-    assert extremum.location_m == 2 * 10**18 - 1
-    assert extremum.value == Fraction(10**19 - 1, 9 * (2 * 10**18 - 1))
-    # N^k = 2**63 exceeds the cap, but the location 2**63 - 1 is the cap
-    assert extremal_frequency(1, 63, KIND_MIN, 2).location_m == 2**63 - 1
-    assert extremal_frequency(1, 62, KIND_MAX, 2).location_m == 2**63 - 1
+    assert checked == 251_600
 
 
 @pytest.mark.parametrize(
     "n, k, kind, base",
     [(1, 19, KIND_MAX, 10), (1, 19, KIND_MIN, 10), (1, 64, KIND_MIN, 2), (1, 63, KIND_MAX, 2)],
 )
-def test_extremal_frequency_refuses_the_first_location_above_the_cap(n, k, kind, base):
-    with pytest.raises(CapacityError):
-        extremal_frequency(n, k, kind, base)
+def test_extremal_frequency_is_exact_at_the_first_location_past_one_word(n, k, kind, base):
+    extremum = extremal_frequency(n, k, kind, base)
+    assert extremum.location_m > 2**63 - 1
+    assert extremum.value == exact_frequency(n, extremum.location_m, base)
+
+
+def test_extremal_frequencies_never_move_away_from_their_limit():
+    for base in (3, 10, 16, 36):
+        for n in (1, base // 2, base - 1):
+            for kind in (KIND_MIN, KIND_MAX):
+                limit = limit_frequency(n, kind, base)
+                gaps = [
+                    abs(extremal_frequency(n, k, kind, base).value - limit)
+                    for k in range(1, 201)
+                ]
+                assert all(a >= b for a, b in zip(gaps, gaps[1:])), (base, n, kind)
+                assert gaps[-1] < Fraction(1, 10**50), (base, n, kind)
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, True, 2.0])
@@ -384,8 +375,14 @@ def test_frequency_series_points_equal_the_exact_counts(data):
     assert ms == list(range(1, m_max + 1))
 
 
+def test_frequency_series_starts_right_past_one_word():
+    first = list(itertools.islice(frequency_series(1, 10**30), 120))
+    assert first == list(frequency_series(1, 120))
+    assert first[:3] == [(1, 1, 1, 1, 1.0), (2, 1, 1, 2, 0.5), (3, 1, 1, 3, 1 / 3)]
+
+
 def test_frequency_series_checks_its_arguments_at_the_call():
-    for args in ((0, 10), (10, 10), (1, 0), (1, INT_CAPACITY + 1)):
+    for args in ((0, 10), (10, 10), (1, 0)):
         with pytest.raises(DigitLawError):
             frequency_series(*args)
 
@@ -424,7 +421,7 @@ def test_extrema_within_are_the_strict_local_extrema_of_the_series(data):
 
 
 def test_extrema_within_base_two_and_bad_arguments():
-    assert extrema_within(1, INT_CAPACITY, 2) == ()
+    assert extrema_within(1, 10**30, 2) == ()
     assert extrema_within(1, 8) == ()
     assert [e.location_m for e in extrema_within(1, 19)] == [9, 19]
     for args in ((0, 10), (1, 0), (1, 10, 37)):
@@ -457,28 +454,35 @@ def test_extremum_locations_are_genuine_local_extrema():
                         assert before < here > after
 
 
-# ------------------------------------------------------------ capacity
+def test_extrema_reach_past_one_word():
+    assert extremum_locations(1, 100)[-1] == (10**100 - 1, 2 * 10**100 - 1)
+    extrema = extrema_within(1, 10**19)
+    assert len(extrema) == 37 and extrema[-1].location_m == 10**19 - 1
+    assert extrema[-1].value == Fraction(1, 9)
 
 
-def test_capacity_guard_trips_past_the_word_boundary():
-    assert leading_digit_count(1, INT_CAPACITY) > 0
-    with pytest.raises(CapacityError):
-        leading_digit_count(1, INT_CAPACITY + 1)
-    # n=1, k=18 stays in range; digit 9 at the same k does not
-    assert extremal_frequency(1, 18, KIND_MIN).location_m == 10**18 - 1
-    with pytest.raises(CapacityError):
-        extremal_frequency(9, 18, KIND_MAX)
-    with pytest.raises(CapacityError):
-        extremal_frequency(1, 64, KIND_MIN)
-    with pytest.raises(CapacityError):
-        extremum_locations(9, 19)
+def test_extremum_locations_in_base_two_build_no_power():
+    tracemalloc.start()
+    try:
+        assert extremum_locations(1, 10**9, 2) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2**(10**9) alone would take 125 MB
 
 
-def test_capacity_error_names_the_offending_inputs():
-    with pytest.raises(CapacityError) as excinfo:
-        extremal_frequency(9, 18, KIND_MAX)
-    message = str(excinfo.value)
-    assert "n=9" in message and "k=18" in message and "exceeds" in message
+# ------------------------------------------------------------ word width
+
+
+def test_leading_digit_count_is_exact_past_one_word():
+    """Every width-j block holds N^(j-1) integers led by n, so below N^k
+    there are (N^k - 1) / (N - 1), whatever n is."""
+    for base in (2, 3, 10, 16, 36):
+        for n in sorted({1, base - 1}):
+            for k in range(1, 201):
+                m = base**k - 1
+                assert leading_digit_count(n, m, base) == m // (base - 1), (base, n, k)
+    assert leading_digit_count(1, 10**30) == (10**30 - 1) // 9 + 1
 
 
 # -------------------------------------------------------------- bounds

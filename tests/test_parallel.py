@@ -2,7 +2,7 @@
 
 The CLI's own tests run analyze through the forked path; these call
 parallel.read_in_shares with a stand-in reader, to carry diagnostics
-whose text a reply must keep exactly, and one it cannot carry.
+whose text a reply must keep exactly, and to fail in one child.
 """
 
 import os
@@ -45,17 +45,15 @@ def test_one_cpu_reads_in_one_share(inputs, monkeypatch):
     assert parallel.plan(inputs) == [inputs]
 
 
-@pytest.mark.parametrize("piece", [3, parallel._PIECE_CHARS])
-def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
-    piece, inputs, monkeypatch
-):
-    monkeypatch.setattr(parallel, "_PIECE_CHARS", piece)
+def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_here(inputs):
     read_here = []
     pid = os.getpid()
 
     def read_share(share, diagnostics):
         if os.getpid() == pid:
             read_here.append(share)
+        elif share == inputs[2:4]:
+            raise OSError("this child fails")
         summaries = []
         for label in share:
             i = int(os.path.basename(label))
@@ -68,8 +66,9 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
     read_here.clear()
     forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
-    # the first share is read here, and the share whose message holds a NUL again
-    assert read_here == [inputs[0:2], inputs[4:6]]
+    # the first share is read here, and the share whose child failed again;
+    # the share whose message holds a NUL comes back from its child
+    assert read_here == [inputs[0:2], inputs[2:4]]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
