@@ -129,6 +129,18 @@ def test_extremal_frequency_locations_follow_the_pattern():
             )
 
 
+def test_extremal_frequency_runs_cleanly_at_high_k_and_other_bases():
+    # k = 100 is far past the k at which (n+1)*N^k outgrows 2**63 - 1
+    for base in (3, 10, 16, 36):
+        for n in (1, base // 2, base - 1):
+            for k in range(1, 101):
+                low = extremal_frequency(n, k, KIND_MIN, base)
+                high = extremal_frequency(n, k, KIND_MAX, base)
+                assert low.location_m == n * base**k - 1, (base, n, k)
+                assert high.location_m == (n + 1) * base**k - 1, (base, n, k)
+                assert 0 < low.value < high.value < 1, (base, n, k)
+
+
 def test_extremal_frequency_closed_form_equals_digit_sum_form():
     """The closed form is the telescoped ratio of digit-string sums: a
     width-k run of ones (the repunit) over the all-(N-1) tail that

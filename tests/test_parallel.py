@@ -73,6 +73,40 @@ def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_her
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("per_input", [3, 8192])
+def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
+    per_input, inputs
+):
+    """A child that refuses a message holding NUL leaves its share to be read
+    here.  At 8,192 diagnostics an input a reply outgrows a pipe's buffer."""
+    read_here = []
+    pid = os.getpid()
+
+    def read_share(share, diagnostics):
+        if os.getpid() == pid:
+            read_here.append(share)
+        summaries = []
+        for label in share:
+            i = int(os.path.basename(label))
+            if os.getpid() != pid and "\0" in MESSAGES[i]:
+                raise ValueError(f"a message holds NUL: {MESSAGES[i]!r}")
+            for line in range(i * per_input + 1, (i + 1) * per_input + 1):
+                diagnostics.append({"source": label, "line": line, "message": MESSAGES[i]})
+            summaries.append(SampleSummary(10, [i] * 9, i, 2 * i, label))
+        return merge(summaries)
+
+    serial_diagnostics, forked_diagnostics = [], []
+    serial = read_share(inputs, serial_diagnostics)
+    read_here.clear()
+    forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
+    assert len(serial_diagnostics) == 6 * per_input
+    assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
+    # the first share is read here, and the share whose message holds a NUL again
+    assert read_here == [inputs[0:2], inputs[4:6]]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_an_error_here_stops_the_children_without_waiting_for_them(inputs):
     pid = os.getpid()
 
