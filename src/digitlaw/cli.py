@@ -373,13 +373,13 @@ def _read_share(
     summaries = []
     for label in share:
         diags = []
+        stream = contextlib.nullcontext(sys.stdin)  # left open after the read
         if args.input:
             stream = open(label, "r", encoding="utf-8", errors="replace")
-        else:
-            # Decode as a file is decoded; a stand-in stream is left as it is.
-            if hasattr(sys.stdin, "reconfigure"):
-                sys.stdin.reconfigure(encoding="utf-8", errors="replace")
-            stream = contextlib.nullcontext(sys.stdin)
+        elif sys.stdin is None:  # closed, as by `<&-`
+            raise OSError("standard input is closed; name the input with --input")
+        elif hasattr(sys.stdin, "reconfigure"):  # decode and end lines as a file does
+            sys.stdin.reconfigure(encoding="utf-8", errors="replace", newline=None)
         with stream as lines:
             summaries.append(tally(read_numerals(spec, lines, diags), args.base, source=label))
         diagnostics.extend(

@@ -1,18 +1,17 @@
 """Read several inputs in forked shares, one per usable CPU, merged exactly.
 
-`analyze` pools its inputs into one sample.  When they are regular files
-and the process may run on two or more CPUs, read_in_shares cuts the
-input list into contiguous shares of about equal size, one per CPU, forks
-a child for each share but the first and reads the first itself.  A fork,
-a short reply over a pipe and a waitpid took 1.5 to 2 ms in the CLI
-process (medians of 50, CPython 3.11 on 2 shared CPUs).  A child sends its
-share's sample and diagnostics back over a pipe as marshal records, which
-the parent, the same interpreter, reads one at a time.  Digit counts
-add exactly (empirical.merge), so the shares merged in input order give
-the sample, the diagnostics and their line numbers of a read in one
-process.  A share whose child fails is read again in this process, so
-that it fails as a read in one process does.  The CLI imports this module
-only for an `analyze` of several inputs.
+`analyze` pools its inputs into one sample.  When they are regular files and
+the process may run on two or more CPUs, read_in_shares cuts the input list
+into contiguous shares of about equal size, one per CPU, and forks a child
+for each share but the first.  A fork, a short reply over a pipe and a
+waitpid took 1.5 to 2 ms in the CLI process (medians of 50, CPython 3.11 on
+2 shared CPUs).  A child sends its share's sample and diagnostics back over
+a pipe as marshal records, which the parent, the same interpreter, reads one
+at a time.  Every share is read in this process unless its child exits 0
+after a whole reply, so a share that got no child or whose child failed
+fails as a read in one process does.  Digit counts add exactly
+(empirical.merge), so the shares merged in input order give what a read in
+one process gives.  Only an `analyze` of several inputs imports this module.
 """
 
 from __future__ import annotations
@@ -66,15 +65,16 @@ def plan(inputs: list[str]) -> list[list[str]]:
     return shares
 
 
-def _fork(read_share: Callable, share: list[str]) -> tuple:
-    """(pid, pipe) of a child forked to write the reply for share to pipe."""
-    read_fd, write_fd = os.pipe()
+def _fork(read_share: Callable, share: list[str]) -> tuple | None:
+    """(pid, pipe) of a child forked to write the reply for share to pipe, or None."""
+    fds: tuple = ()
     try:
+        fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    except OSError:  # no pipe, or no process: the share is read in this one
+        for fd in fds:
+            os.close(fd)
+        return None
     if pid == 0:  # never returns; exits 0 only once the whole reply is written
         code = 1
         try:
@@ -92,51 +92,50 @@ def _fork(read_share: Callable, share: list[str]) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def _take(pipe, share: list[str], diagnostics: list[dict]) -> SampleSummary:
-    """The sample of a reply; its diagnostics go to diagnostics.
+def _take(pid: int, pipe, share: list[str], diagnostics: list[dict]) -> SampleSummary | None:
+    """The sample of the reply on pipe once child pid is reaped; None if the child failed.
 
-    The records are read one at a time, to the end of the pipe.  A failed
-    child's reply is cut short, and raises EOFError here if it has no sample.
+    The records are read one at a time, to the end of the pipe.  Only a
+    child that exited 0 sent a whole reply, whose diagnostics go to diagnostics.
     """
-    counts, *skips, source = marshal.load(pipe)
-    summary = SampleSummary(len(counts) + 1, counts, *skips, source)
-    while True:
+    summary, taken = None, []
+    with pipe:
         try:
-            place, line, message = marshal.load(pipe)
-        except EOFError:
-            return summary
-        diagnostics.append({"source": share[place], "line": line, "message": message})
+            counts, *skips, source = marshal.load(pipe)
+            summary = SampleSummary(len(counts) + 1, counts, *skips, source)
+            while True:
+                place, line, message = marshal.load(pipe)
+                taken.append({"source": share[place], "line": line, "message": message})
+        except EOFError:  # the end of the reply, whole or cut short
+            pass
+    if os.waitpid(pid, 0)[1]:
+        return None
+    diagnostics.extend(taken)
+    return summary
 
 
 def read_in_shares(
     inputs: list[str], read_share: Callable, diagnostics: list[dict]
 ) -> SampleSummary:
-    """The inputs tallied into one sample, share by share, by read_share(share, diagnostics)."""
-    first, *rest = plan(inputs)
-    children = []  # (pid, pipe, share) of each child not yet reaped, in input order
+    """The inputs tallied into one sample, share by share in input order.
+
+    A share is read here by read_share(share, diagnostics) unless its child
+    sends a whole reply: the first share, one with no child, one whose child failed.
+    """
+    shares = plan(inputs)
+    children: list = [None]  # (pid, pipe) of each share's child until it is reaped, or None
     try:
-        for share in rest:
-            children.append((*_fork(read_share, share), share))
-        summaries = [read_share(first, diagnostics)]
-        while children:
-            pid, pipe, share = children[0]
-            taken: list[dict] = []
-            with pipe:
-                try:
-                    summary = _take(pipe, share, taken)
-                except EOFError:
-                    summary = None
-            failed = os.waitpid(pid, 0)[1]
-            del children[0]
-            if failed or summary is None:
-                summary = read_share(share, diagnostics)
-            else:
-                diagnostics += taken
-            summaries.append(summary)
+        for share in shares[1:]:
+            children.append(_fork(read_share, share))
+        summaries = []
+        for i, share in enumerate(shares):
+            summary = children[i] and _take(*children[i], share, diagnostics)
+            children[i] = None
+            summaries.append(summary or read_share(share, diagnostics))
     finally:  # children are left here only after an error: end them, not wait for them
-        for pid, pipe, _ in children:
+        for pid, pipe in filter(None, children):
             os.kill(pid, _SIGKILL)
             pipe.close()
-        for pid, _, _ in children:
+        for pid, _ in filter(None, children):
             os.waitpid(pid, 0)
     return merge(summaries)

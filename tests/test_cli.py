@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import errno
 import io
 import json
 import math
@@ -563,6 +564,36 @@ def test_a_byte_order_mark_does_not_hide_the_first_value(via, tmp_path):
     assert doc["result"]["sample"]["counts"][:3] == [1, 1, 0]
 
 
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["CR", "CRLF"])
+def test_stdin_ends_lines_as_a_file_does(end, tmp_path):
+    # a stray CR ends a line in a file, and so on standard input too
+    data = f"1 x{end}2 y{end}3\r4 z{end}# note{end}{end}5 w{end}".encode()
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "digitlaw", "analyze", "--output", "json"]
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    lines = {}
+    for via, extra in [("file", ["--input", str(path)]), ("stdin", [])]:
+        done = subprocess.run(argv + extra, input=data, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        lines[via] = [(d["line"], d["message"]) for d in json.loads(done.stdout)["diagnostics"]]
+    assert lines["stdin"] == lines["file"] == [
+        (1, "not a numeral: 'x'"),
+        (2, "not a numeral: 'y'"),
+        (4, "not a numeral: 'z'"),
+        (7, "not a numeral: 'w'"),
+    ]
+
+
+def test_a_closed_stdin_is_refused_as_unreadable_input(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)  # as `digitlaw analyze <&-` leaves it
+    outcome = execute(["analyze"])
+    assert outcome.exit_code == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "digitlaw: standard input is closed; name the input with --input\n"
+    )
+
+
 def test_analyze_structural_error_exits_one(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("1,2\n3,4\n")
@@ -663,6 +694,38 @@ def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch
     assert len(forks) == 1
     assert forked.exit_code == serial.exit_code == EXIT_FAILURE
     assert forked.report["diagnostics"] == serial.report["diagnostics"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork", "pipe"]
+)
+def test_shares_that_get_no_process_are_read_as_on_one_cpu(
+    call, code, tmp_path, monkeypatch, capsys
+):
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"part{i}.txt")
+        paths[-1].write_text(f"{i + 1}1 {i + 2}2\nx{i}\n")
+    argv = ["analyze", "--output", "json"] + [a for p in paths for a in ("--input", str(p))]
+    use_cpus(monkeypatch, 1)
+    serial = execute(argv)
+    use_cpus(monkeypatch, 3)
+
+    def refuse(*args):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, call, refuse)
+    open_fds = len(os.listdir("/dev/fd"))
+    forked = execute(argv)
+    capsys.readouterr()
+    assert without_meta(forked) == without_meta(serial)
+    assert forked.exit_code == EXIT_OK
+    assert [(d["source"], d["line"]) for d in forked.report["diagnostics"]] == [
+        (str(p), 2) for p in paths
+    ]
+    assert len(os.listdir("/dev/fd")) == open_fds  # a pipe made for a refused fork is closed
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

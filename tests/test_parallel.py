@@ -5,6 +5,7 @@ parallel.read_in_shares with a stand-in reader, to carry diagnostics
 whose text a reply must keep exactly, and to fail in one child.
 """
 
+import errno
 import os
 import time
 
@@ -102,6 +103,41 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
     assert len(serial_diagnostics) == 6 * per_input
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
     # the first share is read here, and the share whose message holds a NUL again
+    assert read_here == [inputs[0:2], inputs[4:6]]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_share_whose_fork_fails_is_read_here_and_the_other_comes_from_its_child(
+    inputs, monkeypatch
+):
+    read_here, forks = [], []
+    pid, real_fork = os.getpid(), os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    def read_share(share, diagnostics):
+        if os.getpid() == pid:
+            read_here.append(share)
+        summaries = []
+        for label in share:
+            i = int(os.path.basename(label))
+            diagnostics.append({"source": label, "line": i + 1, "message": MESSAGES[i]})
+            summaries.append(SampleSummary(10, [i] * 9, i, 2 * i, label))
+        return merge(summaries)
+
+    serial_diagnostics, forked_diagnostics = [], []
+    serial = read_share(inputs, serial_diagnostics)
+    read_here.clear()
+    monkeypatch.setattr(os, "fork", fork)
+    forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
+    assert len(forks) == 2
+    assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
+    # the first share and the share whose fork failed are read here; the middle one is not
     assert read_here == [inputs[0:2], inputs[4:6]]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
