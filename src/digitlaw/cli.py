@@ -39,7 +39,7 @@ from .digits import MAX_BASE, MIN_BASE, check_digit
 from .empirical import SampleSummary, empirical_fractions, merge, tally
 from .errors import CapacityError, DigitLawError, DomainError, UsageError
 from .fit import compare
-from .ingest import FORMATS, InputSpec, read_numerals
+from .ingest import FORMAT_DELIMITED, FORMATS, InputSpec, read_numerals
 from .lawtheory import (
     DigitBounds,
     DigitDistribution,
@@ -353,37 +353,52 @@ def _parse_candidates(text: str) -> list[str]:
 def _read_inputs(args, spec: InputSpec, diagnostics: list[dict]) -> SampleSummary:
     """Every input tallied into one sample; each input's diagnostics go to diagnostics.
 
-    Several inputs go to parallel.read_in_shares, imported only for them,
-    which may read them in forked shares, each by _read_share.
+    Standard input is read in this process.  The --input files, one or
+    several, go to parallel.read_in_shares, imported only for them, which
+    may cut them into byte windows read in forked shares, each share by
+    _read_share.  A delimited file is never cut: a column missing from
+    every data line is a fault of the whole file.
     """
-    if args.input and len(args.input) > 1:
+    if args.input:
         from .parallel import read_in_shares
 
         def read_share(share, diags):
             return _read_share(args, spec, share, diags)
 
-        return read_in_shares(args.input, read_share, diagnostics)
-    return _read_share(args, spec, args.input or [_STDIN_LABEL], diagnostics)
+        split_files = spec.format != FORMAT_DELIMITED
+        return read_in_shares(args.input, read_share, diagnostics, split_files=split_files)
+    if sys.stdin is None:  # closed, as by `<&-`
+        raise OSError("standard input is closed; name the input with --input")
+    if hasattr(sys.stdin, "reconfigure"):  # decode and end lines as a file does
+        sys.stdin.reconfigure(encoding="utf-8", errors="replace", newline=None)
+    return _read_share(args, spec, [(_STDIN_LABEL, 0, None)], diagnostics)
 
 
 def _read_share(
-    args, spec: InputSpec, share: list[str], diagnostics: list[dict]
+    args, spec: InputSpec, share: list[tuple], diagnostics: list[dict]
 ) -> SampleSummary:
-    """The inputs of share tallied into one sample; their diagnostics go to diagnostics."""
+    """The byte windows (label, start, stop) of share tallied into one sample.
+
+    Their diagnostics go to diagnostics.  A window is read as its whole
+    file would be, but one that starts past the file's first byte keeps a
+    leading U+FEFF, numbers its lines on from the lines before it and adds
+    no second copy of the file's label to the sample's source.  Standard
+    input, read whole, is left open.
+    """
     summaries = []
-    for label in share:
+    for label, start, stop in share:
         diags = []
-        stream = contextlib.nullcontext(sys.stdin)  # left open after the read
+        stream = contextlib.nullcontext(sys.stdin)
         if args.input:
-            stream = open(label, "r", encoding="utf-8", errors="replace")
-        elif sys.stdin is None:  # closed, as by `<&-`
-            raise OSError("standard input is closed; name the input with --input")
-        elif hasattr(sys.stdin, "reconfigure"):  # decode and end lines as a file does
-            sys.stdin.reconfigure(encoding="utf-8", errors="replace", newline=None)
+            from .parallel import lines_before, open_window
+
+            stream = open_window(label, start, stop)
         with stream as lines:
-            summaries.append(tally(read_numerals(spec, lines, diags), args.base, source=label))
+            numerals = read_numerals(spec, lines, diags, drop_bom=not start)
+            summaries.append(tally(numerals, args.base, source="" if start else label))
+        first = lines_before(label, start) if start and diags else 0
         diagnostics.extend(
-            {"source": label, "line": d.line, "message": d.message} for d in diags
+            {"source": label, "line": first + d.line, "message": d.message} for d in diags
         )
     return merge(summaries)
 

@@ -153,8 +153,8 @@ def _read_pieces(stream: TextIO) -> Iterator[str]:
         yield piece
 
 
-def _pieces(stream: str | Iterable[str]) -> Iterator[str]:
-    """The pieces of a stream, the first without a byte-order mark.
+def _pieces(stream: str | Iterable[str], drop_bom: bool) -> Iterator[str]:
+    """The pieces of a stream, the first without a byte-order mark if drop_bom.
 
     A string is sliced and a text stream read, about _PIECE_CHARS at a
     time; any other iterable gives each of its items as a piece.
@@ -167,7 +167,7 @@ def _pieces(stream: str | Iterable[str]) -> Iterator[str]:
         pieces = iter(stream)
     first = next(pieces, None)
     if first is not None:
-        yield first.removeprefix("\ufeff")
+        yield first.removeprefix("\ufeff") if drop_bom else first
         yield from pieces
 
 
@@ -253,7 +253,10 @@ def _read_delimited(
 
 
 def read_numerals(
-    spec: InputSpec, stream: str | Iterable[str], diagnostics: list[Diagnostic]
+    spec: InputSpec,
+    stream: str | Iterable[str],
+    diagnostics: list[Diagnostic],
+    drop_bom: bool = True,
 ) -> Iterator[str]:
     """Yield the token of each numeral of a text stream, in order.
 
@@ -272,7 +275,9 @@ def read_numerals(
     Lines end at LF as the stream returns them, so open a text file in
     the default newline mode, which turns CR and CRLF into LF; a string
     has CR and CRLF turned into LF here.  One leading byte-order mark
-    (U+FEFF) is dropped.  Lines whose first non-blank characters are
+    (U+FEFF) is dropped, unless drop_bom is false, as for a stream that
+    starts past a file's first byte: a U+FEFF there starts a line, which
+    keeps it.  Lines whose first non-blank characters are
     COMMENT_PREFIX are skipped outright.
 
     For plain and spectrum2col, one findall of the format's pattern per
@@ -284,7 +289,7 @@ def read_numerals(
     line raises StructuralError once the stream is exhausted, since that
     is a wrong-shape file rather than scattered bad fields.
     """
-    pieces = _pieces(stream)
+    pieces = _pieces(stream, drop_bom)
     if spec.format == FORMAT_DELIMITED:
         return _read_delimited(spec, pieces, diagnostics)
     return _read_matched(spec.format, pieces, diagnostics)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from digitlaw.cli import (
     EXIT_BOUNDS,
@@ -667,6 +667,65 @@ def test_forked_and_serial_reports_are_equal(tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+# Fields of the one-file property test: numerals, bad tokens, invalid UTF-8
+# (a lone byte and a cut-short sequence), a U+FEFF that does not start the
+# file and a comment marker.
+SPLIT_FIELDS = [
+    b"12", b"-0.5", b"3.5e2", b"7e-3", b"0", b"x", b"1.2.3", b"nan", b"\xff9", b"4\xe2\x82",
+    b"\xef\xbb\xbf5", b"#c",
+]
+SPLIT_LINES = st.tuples(
+    st.lists(st.sampled_from(SPLIT_FIELDS), max_size=4),
+    st.sampled_from([b" ", b",", b"\t", b", "]),
+    st.sampled_from([b"\n", b"\r", b"\r\n"]),
+).map(lambda line: line[1].join(line[0]) + line[2])
+
+
+@st.composite
+def split_inputs(draw):
+    """Bytes of one input with a CRLF across its middle, the mark of the
+    cut on two CPUs, which falls past it.  The file starts with U+FEFF, a
+    later line starts with one, and the one line longer than a window on
+    three or four CPUs holds more than a 4 KB block."""
+    head = b"\xef\xbb\xbf" + b"".join(draw(st.lists(SPLIT_LINES, max_size=12)))
+    field = draw(st.sampled_from(SPLIT_FIELDS))
+    head += b" ".join([field] * (4500 // len(field) + 1))
+    tail = b"\xef\xbb\xbf" + b"".join(draw(st.lists(SPLIT_LINES, min_size=1, max_size=12)))
+    end = draw(st.sampled_from([b"\n", b"\r"]))
+    # blanks at the end of the long line, or a last blank line, move the CRLF onto the mark
+    if len(tail) < len(head):
+        tail += b" " * (len(head) - len(tail))
+    else:
+        head += b" " * (len(tail) - len(head))
+    return head + b"\r\n" + tail + end
+
+
+@pytest.mark.parametrize(
+    "fmt", [["plain"], ["spectrum2col"], ["delimited", "--column", "2"]], ids=lambda f: f[0]
+)
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=split_inputs())
+def test_one_input_read_on_several_cpus_reports_as_on_one(fmt, text, tmp_path, monkeypatch):
+    path = tmp_path / "one.txt"
+    path.write_bytes(text)
+    argv = ["analyze", "--output", "json", "--input", str(path), "--format", *fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        use_cpus(monkeypatch, 1)
+        serial = execute(argv)
+        for cpus in (2, 3, 4):
+            use_cpus(monkeypatch, cpus)
+            if cpus == 2 and fmt[0] != "delimited":
+                mark = len(text) // 2
+                assert text[mark - 1 : mark + 1] == b"\r\n"
+                assert plan([str(path)])[1][0][1] == mark + 1
+            assert without_meta(execute(argv)) == without_meta(serial)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("case", ["missing-first", "missing-later", "column-later"])
 def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch, capsys):
     good = []
@@ -678,8 +737,8 @@ def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch
     missing = str(tmp_path / "missing.csv")
     inputs, shares = {
         "missing-first": ([missing, *good[:2]], [[missing, good[0]], [good[1]]]),
-        "missing-later": ([*good[:2], missing, good[2]], [[good[0]], [good[1], missing, good[2]]]),
-        "column-later": ([*good[:2], str(short)], [[good[0]], [good[1], str(short)]]),
+        "missing-later": ([*good[:2], missing, good[2]], [good[:2], [missing, good[2]]]),
+        "column-later": ([*good[:2], str(short)], [good[:2], [str(short)]]),
     }[case]
     argv = ["analyze", "--format", "delimited", "--column", "2"]
     argv += [a for path in inputs for a in ("--input", path)]
@@ -688,7 +747,8 @@ def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch
     serial_err = capsys.readouterr().err
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    assert plan(inputs) == shares
+    # a delimited file is never cut, so each share holds whole files
+    assert plan(inputs, split_files=False) == [[(path, 0, None) for path in share] for share in shares]
     forked = execute(argv)
     assert capsys.readouterr().err == serial_err
     assert len(forks) == 1
@@ -739,6 +799,7 @@ def test_stdin_one_input_and_a_fifo_are_read_without_forking(tmp_path, monkeypat
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     monkeypatch.setattr(sys, "stdin", io.StringIO("12 13 24\n"))
     assert run_json(["analyze"], capsys)["result"]["sample"]["used"] == 3
+    # one input of one line: no line starts past its middle, so it is not cut
     assert run_json(["analyze", "--input", str(path)], capsys)["result"]["sample"]["used"] == 3
     # a writer process, not a thread: a process running threads does not fork at all
     script = "import sys; open(sys.argv[1], 'w').write('31 41\\n')"
@@ -1130,6 +1191,7 @@ PACKAGE_IMPORTS = {
     "fractions",
     "functools",
     "gc",
+    "io",
     "itertools",
     "json",
     "marshal",

@@ -34,7 +34,7 @@ def test_golden_output(name, argv, stdin):
     "name, argv, stdin", CASES, ids=[name for name, _, _ in CASES]
 )
 def test_golden_output_with_forked_shares(name, argv, stdin, monkeypatch):
-    """The same bytes when every analyze of several inputs is read in forked shares."""
+    """The same bytes when the input files of every analyze are cut into forked shares."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     test_golden_output(name, argv, stdin)
 

@@ -344,6 +344,10 @@ def test_a_byte_order_mark_is_dropped_once():
         assert [(d.line, d.message) for d in diagnostics] == [
             (2, "not a numeral: '\\ufeff3'")
         ]
+    # a stream that starts past a file's first byte keeps it
+    diagnostics = []
+    assert list(read_numerals(InputSpec(), "\ufeff1 2\n", diagnostics, drop_bom=False)) == ["2"]
+    assert [(d.line, d.message) for d in diagnostics] == [(1, "not a numeral: '\\ufeff1'")]
 
 
 def test_tally_over_a_stream_holds_no_per_value_memory():

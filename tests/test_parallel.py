@@ -19,6 +19,15 @@ MESSAGES = [
 ]
 
 
+def whole(*paths):
+    """The byte windows of whole files, each from byte 0 to its end."""
+    return [(path, 0, None) for path in paths]
+
+
+def labels(share):
+    return [label for label, _, _ in share]
+
+
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     """Six equal files, and three CPUs to read them with."""
@@ -30,20 +39,56 @@ def inputs(tmp_path, monkeypatch):
     return paths
 
 
-def test_plan_cuts_contiguous_shares_of_equal_size(inputs):
-    assert parallel.plan(inputs) == [inputs[0:2], inputs[2:4], inputs[4:6]]
-    assert parallel.plan(inputs[:2]) == [inputs[:1], inputs[1:2]]
+def test_plan_cuts_contiguous_shares_of_equal_size(inputs, tmp_path):
+    assert parallel.plan(inputs) == [whole(*inputs[0:2]), whole(*inputs[2:4]), whole(*inputs[4:6])]
+    assert parallel.plan(inputs[:2]) == [whole(inputs[0]), whole(inputs[1])]
+    # one file of six 6-byte lines, cut at bytes 12 and 24
+    one = tmp_path / "one"
+    one.write_bytes(b"1 2 3\n" * 6)
+    assert parallel.plan([str(one)]) == [[(str(one), 0, 12)], [(str(one), 12, 24)], [(str(one), 24, None)]]
+    # a cut in a file that may not be cut falls at the end of that file
+    assert parallel.plan([str(one), *inputs[:2]], split_files=False) == [
+        whole(str(one)), whole(*inputs[:2])
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, cpus, shares",
+    [
+        (b"123\r\n4\r\n", 2, [(0, 5), (5, None)]),  # the mark between CR and LF
+        (b"12\r34\r56\r", 3, [(0, 3), (3, 6), (6, None)]),  # CR-only lines
+        (b"1234567\r\n8\n", 2, [(0, 9), (9, None)]),  # the first line end past the mark
+        (b"1 " * 5000 + b"\r", 2, [(0, None)]),  # no line end past the mark but the last byte
+        (b"1\r" + b"2 " * 5000 + b"\r\n3\n", 3, [(0, 10004), (10004, None)]),  # past two marks
+        (b"1" * 9094 + b"\r\n" + b"2" * 904, 2, [(0, 9096), (9096, None)]),  # CR ends a block
+        (b"1" * 4095 + b"\r\n" + b"3\n" * 2100, 2, [(0, 4149), (4149, None)]),  # CRLF across blocks
+    ],
+    ids=["crlf-at-mark", "cr", "crlf-past-mark", "no-line-end", "long-line", "cr-at-block-end",
+         "crlf-across-blocks"],
+)
+def test_plan_cuts_one_file_at_line_starts(text, cpus, shares, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    path = tmp_path / "one"
+    path.write_bytes(text)
+    assert parallel.plan([str(path)]) == [[(str(path), start, stop)] for start, stop in shares]
+    for start, _ in shares[1:]:  # a line start, never between CR and LF
+        assert text[start - 1 : start + 1] != b"\r\n" and text[start - 1] in b"\r\n"
+        head = text[:start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        assert parallel.lines_before(str(path), start) == head.count(b"\n")
 
 
 def test_plan_keeps_an_empty_last_input_in_the_last_share(inputs, tmp_path):
     empty = tmp_path / "empty"
     empty.write_text("")
-    assert parallel.plan([*inputs[:2], str(empty)]) == [inputs[:1], [inputs[1], str(empty)]]
+    assert parallel.plan([*inputs[:2], str(empty)]) == [whole(inputs[0]), whole(inputs[1], str(empty))]
 
 
-def test_one_cpu_reads_in_one_share(inputs, monkeypatch):
+def test_one_cpu_reads_in_one_share(inputs, monkeypatch, tmp_path):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert parallel.plan(inputs) == [inputs]
+    assert parallel.plan(inputs) == [whole(*inputs)]
+    one = tmp_path / "one"
+    one.write_bytes(b"1 2 3\n" * 6)
+    assert parallel.plan([str(one)]) == [whole(str(one))]
 
 
 def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_here(inputs):
@@ -52,18 +97,18 @@ def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_her
 
     def read_share(share, diagnostics):
         if os.getpid() == pid:
-            read_here.append(share)
-        elif share == inputs[2:4]:
+            read_here.append(labels(share))
+        elif labels(share) == inputs[2:4]:
             raise OSError("this child fails")
         summaries = []
-        for label in share:
+        for label in labels(share):
             i = int(os.path.basename(label))
             diagnostics.append({"source": label, "line": i + 1, "message": MESSAGES[i]})
             summaries.append(SampleSummary(10, [i] * 9, i, 2 * i, label))
         return merge(summaries)
 
     serial_diagnostics, forked_diagnostics = [], []
-    serial = read_share(inputs, serial_diagnostics)
+    serial = read_share(whole(*inputs), serial_diagnostics)
     read_here.clear()
     forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
@@ -85,9 +130,9 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
 
     def read_share(share, diagnostics):
         if os.getpid() == pid:
-            read_here.append(share)
+            read_here.append(labels(share))
         summaries = []
-        for label in share:
+        for label in labels(share):
             i = int(os.path.basename(label))
             if os.getpid() != pid and "\0" in MESSAGES[i]:
                 raise ValueError(f"a message holds NUL: {MESSAGES[i]!r}")
@@ -97,7 +142,7 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
         return merge(summaries)
 
     serial_diagnostics, forked_diagnostics = [], []
-    serial = read_share(inputs, serial_diagnostics)
+    serial = read_share(whole(*inputs), serial_diagnostics)
     read_here.clear()
     forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
     assert len(serial_diagnostics) == 6 * per_input
@@ -122,16 +167,16 @@ def test_a_share_whose_fork_fails_is_read_here_and_the_other_comes_from_its_chil
 
     def read_share(share, diagnostics):
         if os.getpid() == pid:
-            read_here.append(share)
+            read_here.append(labels(share))
         summaries = []
-        for label in share:
+        for label in labels(share):
             i = int(os.path.basename(label))
             diagnostics.append({"source": label, "line": i + 1, "message": MESSAGES[i]})
             summaries.append(SampleSummary(10, [i] * 9, i, 2 * i, label))
         return merge(summaries)
 
     serial_diagnostics, forked_diagnostics = [], []
-    serial = read_share(inputs, serial_diagnostics)
+    serial = read_share(whole(*inputs), serial_diagnostics)
     read_here.clear()
     monkeypatch.setattr(os, "fork", fork)
     forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
@@ -150,7 +195,7 @@ def test_an_error_here_stops_the_children_without_waiting_for_them(inputs):
         if os.getpid() == pid:
             raise OSError("the first share is unreadable")
         time.sleep(60)
-        return SampleSummary(10, [0] * 9, 0, 0, share[0])
+        return SampleSummary(10, [0] * 9, 0, 0, share[0][0])
 
     started = time.monotonic()
     with pytest.raises(OSError, match="first share"):
