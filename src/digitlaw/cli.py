@@ -35,21 +35,18 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .digits import MAX_BASE, MIN_BASE, check_digit
+from .digits import MAX_BASE, MIN_BASE
 from .empirical import SampleSummary, empirical_fractions, merge, tally
-from .errors import CapacityError, DigitLawError, DomainError, UsageError
+from .errors import DigitLawError, DomainError, UsageError
 from .fit import compare
 from .ingest import FORMAT_DELIMITED, FORMATS, InputSpec, read_numerals
 from .lawtheory import (
     DigitBounds,
     DigitDistribution,
-    KIND_MIN,
     LABEL_CUSTOM,
     arithmetic_mean_distribution,
     benford,
     bounds_check,
-    extrema_within,
-    frequency_series,
     geometric_mean_distribution,
 )
 
@@ -66,15 +63,17 @@ _LAWS: dict[str, Callable[[int], DigitDistribution]] = {
 
 _STDIN_LABEL = "<stdin>"
 _BASE_RANGE = f"{MIN_BASE}..{MAX_BASE}"
+SIGKILL = 9  # signal.SIGKILL on every POSIX system: no handler of the caller runs in the child
 
 
 @dataclass(frozen=True)
 class CommandOutcome:
     """Exit code plus the structured report the command produced.
 
-    A sweep report is streamed, not held: each series' `points` is an
-    iterator of (m, count, num, den, value) tuples, which emitting the
-    report has consumed by the time the outcome is returned.
+    A sweep report does not hold its points: each series' `points` is an
+    unconsumed iterator of its (m, count, num, den, value) tuples, made
+    one at a time.  Emitting the report made each segment's points afresh
+    (sweep.py), so a caller may still read them.
     """
 
     exit_code: int
@@ -303,35 +302,34 @@ def _handle_theory(args, report: dict) -> int:
     return EXIT_OK
 
 
-def _sweep_digit(n: int, m_max: int, radix: int) -> dict:
-    minima, maxima = [], []
-    for e in extrema_within(n, m_max, radix):
-        value = e.value
-        doc = {"k": e.k, "m": e.location_m, "value": float(value), **_fraction_doc(value)}
-        (minima if e.kind == KIND_MIN else maxima).append(doc)
-    points = frequency_series(n, m_max, radix)
-    return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
+# The sweep command's code is in sweep.py, which only a sweep loads, as only
+# analyze loads parallel.py.
 
 
 def _handle_sweep(args, report: dict) -> int:
-    digits = range(1, args.base)
-    if not args.all_digits:
-        try:
-            digits = [check_digit(args.digit, args.base)]
-        except DomainError as exc:
-            raise UsageError(str(exc)) from None
-    if args.m_max > 2**63 - 1:  # the one limit on a report: m past one machine word
-        raise CapacityError(f"sweep --m-max: {args.m_max} exceeds 2**63 - 1")
-    report["params"] = {
-        "digit": None if args.all_digits else args.digit,
-        "all_digits": bool(args.all_digits),
-        "m_max": args.m_max,
-    }
-    report["result"] = {
-        "m_max": args.m_max,
-        "series": [_sweep_digit(n, args.m_max, args.base) for n in digits],
-    }
-    return EXIT_OK
+    from .sweep import handle
+
+    return handle(args, report)
+
+
+def _render_sweep(report: dict) -> Iterator[str]:
+    from .sweep import render_table
+
+    return render_table(report)
+
+
+def fork_cpus() -> int:
+    """How many processes a command may run in: its usable CPUs, or 1 where it may not fork.
+
+    The usable CPUs are the process's CPU affinity (os.cpu_count() where
+    there is none).  It may not fork without os.fork, nor while another
+    thread runs: a lock that thread holds would stay held in the child.
+    """
+    if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_candidates(text: str) -> list[str]:
@@ -462,14 +460,19 @@ def _handle_bounds(args, report: dict) -> int:
 # ------------------------------------------------------------- rendering
 
 
-def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write the text pieces as they come, to out_path or stdout."""
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+def _emit(chunks: Iterator[str], out_path: str | None) -> None:
+    """Write the text pieces as they come, to out_path or stdout.
+
+    The generator chunks is closed even when a write fails, so that it can
+    end what it started (a sweep's forked renderers) at once.
+    """
+    with contextlib.closing(chunks):
+        if out_path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
 
 
 # Lines per written piece, each line a table row or a JSON point (about 6
@@ -477,62 +480,21 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
 # against 15.75 MB at 128, and no run was faster.
 _LINES_PER_WRITE = 128
 
-# One sweep point as json.dumps(indent=2, sort_keys=True) lays it out in a
-# report, comma first: points sit 10 spaces deep, their keys 12.  %d and
-# %r print ints and floats exactly as the encoder does.
-_JSON_POINT = (
-    ",\n          {"
-    '\n            "count": %d,'
-    '\n            "den": %d,'
-    '\n            "m": %d,'
-    '\n            "num": %d,'
-    '\n            "value": %r'
-    "\n          }"
-)
-_EMPTY_POINTS = '"points": []'
-
-
 def _render_json(report: dict) -> Iterator[str]:
-    """json.dumps(report, indent=2, sort_keys=True) + "\n", in pieces.
+    """json.dumps(report, indent=2, sort_keys=True) + "\n", in pieces."""
+    if report["command"] == "sweep":  # its points are made segment by segment
+        from .sweep import render_json
 
-    A sweep's point series are not handed to the encoder: the rest of the
-    report is encoded with an empty list in each series' place, and the
-    points are spliced in there _LINES_PER_WRITE at a time, in the
-    encoder's layout.  The key "points" appears nowhere else in a sweep
-    report, and never inside an encoded string, whose quotes are escaped.
-    """
-    streams = []
-    if report["command"] == "sweep":
-        result = report["result"]
-        streams = [s["points"] for s in result["series"]]
-        hollow = [{**s, "points": []} for s in result["series"]]
-        report = {**report, "result": {**result, "series": hollow}}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    head, *tails = text.split(_EMPTY_POINTS, len(streams))
-    yield head
-    for points, tail in zip(streams, tails):
-        yield from _json_points(points)
-        yield tail
+        yield from render_json(report)
+        return
+    yield json.dumps(report, indent=2, sort_keys=True)
     yield "\n"
 
 
-def _json_points(points: Iterable[tuple]) -> Iterator[str]:
-    """A series' `"points": [...]` member, _LINES_PER_WRITE points a piece."""
-    lines = (
-        _JSON_POINT % (count, den, m, num, value)
-        for m, count, num, den, value in points
-    )
-    first = "".join(islice(lines, _LINES_PER_WRITE))
-    yield '"points": [' + first[1:]  # the first point has no point before it
-    while piece := "".join(islice(lines, _LINES_PER_WRITE)):
-        yield piece
-    yield "\n        ]" if first else "]"
-
-
 def _table(
-    indent: str, columns: Sequence[tuple], rows: Iterable[tuple]
+    indent: str, columns: Sequence[tuple], rows: Iterable[tuple], head: bool = True
 ) -> Iterator[str]:
-    """A header line plus one line per row, each cell left-aligned.
+    """A header line (unless head is false) plus one line per row, each cell left-aligned.
 
     columns holds (header, width) pairs, or (header, width, conversion)
     for a cell not printed by _TEXT_CELL.  Every column but the last is
@@ -542,9 +504,10 @@ def _table(
     """
     pads = [f"-{column[1]}" for column in columns[:-1]] + [""]
     conversions = [column[2] if len(column) > 2 else _TEXT_CELL for column in columns]
-    head = indent + "".join(_TEXT_CELL.format(pad) for pad in pads) + "\n"
+    header = indent + "".join(_TEXT_CELL.format(pad) for pad in pads) + "\n"
     fmt = indent + "".join(map(str.format, conversions, pads)) + "\n"
-    yield head % tuple(column[0] for column in columns)
+    if head:
+        yield header % tuple(column[0] for column in columns)
     lines = map(fmt.__mod__, rows)
     while piece := "".join(islice(lines, _LINES_PER_WRITE)):
         yield piece
@@ -559,30 +522,6 @@ def _render_theory(report: dict) -> Iterator[str]:
     )
     yield f"first-digit laws, base {report['base']}\n"
     yield from _table("", columns, rows)
-
-
-def _render_sweep(report: dict) -> Iterator[str]:
-    result = report["result"]
-    yield (
-        f"leading-digit frequency over {{1..m}}, base {report['base']}, "
-        f"m up to {result['m_max']}\n"
-    )
-    columns = [("m", 10), ("count", 10), ("exact", 16), ("value", 0, _SIG4_CELL)]
-    for i, series in enumerate(result["series"]):
-        if i:
-            yield "\n"
-        yield f"digit {series['digit']}:\n"
-        rows = (
-            (m, count, f"{num}/{den}", value)
-            for m, count, num, den, value in series["points"]
-        )
-        yield from _table("  ", columns, rows)
-        for kind in ("minima", "maxima"):
-            yield f"  {kind}:\n"
-            if not series[kind]:
-                yield "    (none in range)\n"
-            for e in series[kind]:
-                yield f"    k={e['k']}  m={e['m']}  {_fraction_cell(e)}\n"
 
 
 def _fraction_cell(fr: dict) -> str:

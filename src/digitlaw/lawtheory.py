@@ -234,23 +234,27 @@ def exact_frequency(n: int, m: int, base: int = 10) -> Fraction:
 
 
 def frequency_series(
-    n: int, m_max: int, base: int = 10
+    n: int, m_max: int, base: int = 10, start: int = 1
 ) -> Iterator[tuple[int, int, int, int, float]]:
-    """(m, count, num, den, value) for m = 1..m_max, made one O(1) point at a time.
+    """(m, count, num, den, value) for m = start..m_max, made one O(1) point at a time.
 
     count is leading_digit_count(n, m), num/den is count/m in lowest terms and
-    value its float.  The arguments are checked at the call; no point is kept.
+    value its float.  The count is seeded by one leading_digit_count(n, start - 1),
+    so a series may start anywhere.  The arguments are checked at the call; no
+    point is kept.
     """
     check_digit(n, base)
     _require_positive("m_max", m_max)
-    return _series(n, base, m_max)
+    _require_positive("start", start)
+    count = leading_digit_count(n, start - 1, base) if start > 1 else 0
+    return _series(n, base, start, m_max, count)
 
 
-def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
+def _series(n: int, radix: int, low: int, m_max: int, count: int) -> Iterator[tuple]:
     # Over the _runs, count is flat up to a run's start, then climbs by one per
-    # m.  Int true division rounds correctly: value == float(Fraction(count, m)).
+    # m; the runs before low only move low on.  Int true division rounds
+    # correctly: value == float(Fraction(count, m)).
     gcd = math.gcd
-    count, low = 0, 1
     for start, stop in _runs(n, radix):
         for step, end in ((0, start), (1, stop)):
             high = min(end, m_max + 1)
@@ -258,7 +262,7 @@ def _series(n: int, radix: int, m_max: int) -> Iterator[tuple]:
                 count += step
                 g = gcd(count, m)
                 yield m, count, count // g, m // g, count / m
-            low = high
+            low = max(low, high)
         if low > m_max:
             return
 

@@ -32,6 +32,7 @@ import os
 import sys
 from typing import Callable
 
+from .cli import SIGKILL, fork_cpus
 from .empirical import SampleSummary, merge
 
 # A reply is marshal records: (counts, skipped_zero, skipped_nonfinite, source)
@@ -39,7 +40,6 @@ from .empirical import SampleSummary, merge
 # being where its window stands in the share.  Naming the source by place lets
 # every diagnostic share the label string that a read in this process would
 # give it.  marshal is loaded at interpreter start, so this imports nothing.
-_SIGKILL = 9  # signal.SIGKILL on every POSIX system: no handler of the caller runs in the child
 
 # Bytes read at a time where a cut is placed and where the lines before a
 # window are counted, so that neither holds more than one small block.
@@ -56,17 +56,12 @@ def plan(inputs: list[str], *, split_files: bool = True) -> list[list[tuple]]:
     counts as a line start, so no file is cut.  A window's stop is None
     when it runs to the end of its file.  One share of whole files, read in
     this process, unless every input is a regular file or absent (its read
-    then fails in any process alike) and there are os.fork and two CPUs to
-    use.  A process running other threads does not fork: a lock one of
-    them holds would stay held in the child.
+    then fails in any process alike) and cli.fork_cpus gives two or more.
     """
     whole = [[(label, 0, None) for label in inputs]]
-    if not hasattr(os, "fork") or len(sys._current_frames()) > 1:
+    cpus = fork_cpus()
+    if cpus < 2:
         return whole
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
     sizes = []
     for label in inputs:
         if os.path.isfile(label):
@@ -247,7 +242,7 @@ def read_in_shares(
             summaries.append(summary or read_share(share, diagnostics))
     finally:  # children are left here only after an error: end them, not wait for them
         for pid, pipe in filter(None, children):
-            os.kill(pid, _SIGKILL)
+            os.kill(pid, SIGKILL)
             pipe.close()
         for pid, _ in filter(None, children):
             os.waitpid(pid, 0)

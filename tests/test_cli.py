@@ -19,13 +19,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from digitlaw import sweep
 from digitlaw.cli import (
     EXIT_BOUNDS,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
     _SIG4_CELL,
-    _json_points,
     _table,
     execute,
     main,
@@ -37,6 +37,7 @@ from digitlaw.lawtheory import (
     leading_digit_count,
 )
 from digitlaw.parallel import plan
+from digitlaw.sweep import _json_points
 
 
 def run_json(argv, capsys):
@@ -191,7 +192,7 @@ def test_streamed_sweep_json_is_the_encoder_text_of_the_whole_report(data):
     assert outcome.exit_code == EXIT_OK
     report = outcome.report
     series = report["result"]["series"]
-    assert all(list(s["points"]) == [] for s in series)  # consumed by emission
+    assert all(iter(s["points"]) is s["points"] for s in series)  # an iterator, not a list
     materialised = {
         **report,
         "result": {
@@ -209,6 +210,11 @@ def test_streamed_sweep_json_is_the_encoder_text_of_the_whole_report(data):
     }
     expected = json.dumps(materialised, indent=2, sort_keys=True) + "\n"
     assert out.getvalue() == expected
+    # emission made each segment's points afresh, so every iterator still gives them all
+    assert [list(s["points"]) for s in series] == [
+        [(p["m"], p["count"], p["num"], p["den"], p["value"]) for p in s["points"]]
+        for s in materialised["result"]["series"]
+    ]
 
 
 def brute_counts(n, radix, m_top):
@@ -846,6 +852,206 @@ def test_analyze_base_two_fails_loudly_not_silently(segment_file, capsys):
     )
 
 
+# ----------------------------------------------- sweeps on several CPUs
+
+
+def sweep_text(argv, out_path=None):
+    """What execute(argv) writes, to stdout or to out_path, without its elapsed_s line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outcome = execute(argv + (["--out", str(out_path)] if out_path else []))
+    assert outcome.exit_code == EXIT_OK
+    text = out_path.read_text(encoding="utf-8") if out_path else out.getvalue()
+    return "".join(line for line in text.splitlines(True) if '"elapsed_s": ' not in line)
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_a_sweep_cut_into_segments_prints_as_one_process_does(data, tmp_path):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    which = ["--all-digits"]
+    if not data.draw(st.booleans(), label="all_digits"):
+        which = ["--digit", str(data.draw(st.integers(1, radix - 1), label="n"))]
+    limit = 120 // (radix - 1) if which == ["--all-digits"] else 120
+    m_max = data.draw(st.integers(1, limit), label="m_max")
+    output = data.draw(st.sampled_from(["table", "json"]), label="output")
+    argv = ["sweep", *which, "--m-max", str(m_max), "--base", str(radix), "--output", output]
+    with pytest.MonkeyPatch.context() as patch:
+        use_cpus(patch, 1)
+        expected = sweep_text(argv)
+        # segments of one point or more, and of at most 16, so in rounds too
+        patch.setattr(sweep, "_MIN_POINTS", 1)
+        patch.setattr(sweep, "_MAX_POINTS", 16)
+        forks = count_forks(patch)
+        for cpus in (1, 2, 3, 4):
+            use_cpus(patch, cpus)
+            assert sweep_text(argv) == expected
+            assert sweep_text(argv, tmp_path / "out.txt") == expected
+    points = m_max * (radix - 1 if which == ["--all-digits"] else 1)
+    assert bool(forks) == (points > 1)
+    no_children_left()
+
+
+def test_a_segment_whose_child_fails_is_rendered_here(monkeypatch):
+    argv = ["sweep", "--all-digits", "--m-max", "3000", "--output", "json"]
+    use_cpus(monkeypatch, 1)
+    expected = sweep_text(argv)
+    parent, real_series = os.getpid(), sweep.frequency_series
+
+    def fails_part_way_in_a_child(*args):
+        for i, point in enumerate(real_series(*args)):
+            if i == 500 and os.getpid() != parent:
+                raise RuntimeError("a child fails after writing some of its text")
+            yield point
+
+    monkeypatch.setattr(sweep, "frequency_series", fails_part_way_in_a_child)
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    assert sweep_text(argv) == expected
+    assert len(forks) == 2
+    no_children_left()
+
+
+@pytest.mark.parametrize(
+    "call, code", [("fork", errno.EAGAIN), ("memfd_create", errno.EMFILE)], ids=["fork", "memfd"]
+)
+def test_segments_that_get_no_process_are_rendered_here(call, code, monkeypatch):
+    argv = ["sweep", "--digit", "1", "--m-max", "9000"]
+    use_cpus(monkeypatch, 1)
+    expected = sweep_text(argv)
+    use_cpus(monkeypatch, 3)
+
+    def refuse(*args):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, call, refuse, raising=False)
+    open_fds = len(os.listdir("/dev/fd"))
+    assert sweep_text(argv) == expected
+    assert len(os.listdir("/dev/fd")) == open_fds  # a memory file made for a refused fork is closed
+    no_children_left()
+
+
+def test_without_memory_files_only_analyze_forks(tmp_path, monkeypatch, capsys):
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path in paths:
+        path.write_text("12 13 24\n")
+    argv = ["sweep", "--digit", "1", "--m-max", "9000"]
+    use_cpus(monkeypatch, 1)
+    expected = sweep_text(argv)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    forks = count_forks(monkeypatch)
+    assert sweep_text(argv) == expected
+    assert forks == []
+    doc = run_json(["analyze", "--input", str(paths[0]), "--input", str(paths[1])], capsys)
+    assert doc["result"]["sample"]["used"] == 6
+    assert len(forks) == 1
+
+
+def test_small_sweeps_stay_in_one_process_and_no_segment_is_below_the_floor(monkeypatch):
+    use_cpus(monkeypatch, 16)
+    forks = count_forks(monkeypatch)
+    sweep_text(["sweep", "--all-digits", "--m-max", "40"])
+    assert forks == []
+    segments = [segment for round_ in sweep._rounds(1, 40_138, 16) for segment in round_]
+    sizes = [sum(hi - lo + 1 for _, lo, hi in segment) for segment in segments]
+    assert len(sizes) > 2 and sum(sizes) == 40_138
+    assert min(sizes) >= sweep._MIN_POINTS
+    argv = ["sweep", "--digit", "1", "--m-max", "40138"]
+    text = sweep_text(argv)
+    assert len(forks) == len(sizes) - 1
+    use_cpus(monkeypatch, 1)
+    assert sweep_text(argv) == text
+    no_children_left()
+
+
+@pytest.mark.parametrize("series, m_max", [(1, 40_000), (1, 40_320), (9, 3_000), (9, 3_024)])
+def test_both_benchmark_sweeps_split_into_halves_in_one_round(series, m_max):
+    (segments,) = sweep._rounds(series, m_max, 2)
+    sizes = [sum(hi - lo + 1 for _, lo, hi in segment) for segment in segments]
+    assert sizes == [series * m_max // 2] * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    series=st.integers(1, 35),
+    m_max=st.integers(1, 40_000),
+    cpus=st.integers(1, 16),
+    floor=st.sampled_from([1, 7, 2000]),
+)
+def test_segments_cover_every_point_once_in_order_within_their_bounds(
+    series, m_max, cpus, floor
+):
+    points, segments = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_MIN_POINTS", floor)
+        for round_ in sweep._rounds(series, m_max, cpus):
+            assert 1 <= len(round_) <= cpus
+            segments += round_
+    for segment in segments:
+        size = 0
+        for i, lo, hi in segment:
+            assert 0 <= i < series and 1 <= lo <= hi <= m_max
+            points.append((i, lo, hi))
+            size += hi - lo + 1
+        assert size <= sweep._MAX_POINTS
+        assert len(segments) == 1 or size >= floor
+    # the pieces, joined, run through every series from m = 1 to m_max
+    flat = [(i, m) for i, lo, hi in points for m in (lo, hi)]
+    assert flat[0] == (0, 1) and flat[-1] == (series - 1, m_max)
+    for (i, hi), (j, lo) in zip(flat[1::2], flat[2::2]):
+        assert (j, lo) in {(i, hi + 1), (i + 1, 1)} and (j > i) == (hi == m_max)
+
+
+def test_a_sweep_to_the_largest_m_max_plans_its_first_round_at_once():
+    first = next(sweep._rounds(35, 2**63 - 1, 16))
+    assert len(first) == 16 and first[0][0][:2] == (0, 1)
+    assert all(sweep._MAX_POINTS // 2 < hi - lo + 1 <= sweep._MAX_POINTS for (_, lo, hi), in first)
+
+
+def test_what_waits_in_memory_files_is_bounded_whatever_m_max(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sweep, "_MAX_POINTS", 50_000)
+    sizes, real_pread = [], os.pread
+
+    def pread(fd, size, offset):
+        if offset == 0:  # the child has exited: its file is whole
+            sizes.append(os.fstat(fd).st_size)
+        return real_pread(fd, size, offset)
+
+    monkeypatch.setattr(os, "pread", pread)
+    outcome = execute(["sweep", "--digit", "1", "--m-max", "1000000", "--out", os.devnull])
+    assert outcome.exit_code == EXIT_OK
+    assert len(sizes) == 10  # 20 segments of 50,000 points, 2 to a round
+    # a row holds at most 45 characters here (2 + 10 + 10 + 16 + 6 and its newline),
+    # and the last segment ends with the extrema's few lines
+    assert 0 < max(sizes) <= 50_000 * 45 + 1000
+    no_children_left()
+
+
+def test_a_closed_pipe_ends_and_reaps_every_child_of_a_sweep(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    use_cpus(monkeypatch, 4)
+    forks = count_forks(monkeypatch)
+    with open(write_end, "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        before = _open_fds()
+        code = main(["sweep", "--digit", "1", "--m-max", "200000"])
+        after = _open_fds()
+    assert code == EXIT_FAILURE
+    assert after == before
+    assert len(forks) == 3
+    no_children_left()
+
+
 # -------------------------------------------------------------- bounds
 
 
@@ -1202,6 +1408,32 @@ PACKAGE_IMPORTS = {
     "time",
     "typing",
 }
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["--help"], []),
+        (["theory"], []),
+        (["bounds", "--dist", "geom"], []),
+        (["sweep", "--digit", "1", "--m-max", "5000"], ["digitlaw.sweep"]),
+        (["analyze", "--input", "a.txt", "--input", "b.txt"], ["digitlaw.parallel"]),
+    ],
+    ids=["help", "theory", "bounds", "sweep", "analyze"],
+)
+def test_a_command_loads_no_other_command_s_module(argv, loaded, tmp_path):
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("12 13 24\n")
+    argv = [str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in argv]
+    script = (
+        "import sys; from digitlaw.cli import main; main(sys.argv[1:]); "
+        "print([m for m in ('digitlaw.parallel', 'digitlaw.sweep') if m in sys.modules], "
+        "file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True
+    )
+    assert done.stderr == f"{loaded}\n"
 
 
 def test_the_package_imports_a_pinned_set_of_modules():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from digitlaw import sweep
+
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 from regenerate import CASES, HERE, run_case  # noqa: E402
 
@@ -34,8 +36,10 @@ def test_golden_output(name, argv, stdin):
     "name, argv, stdin", CASES, ids=[name for name, _, _ in CASES]
 )
 def test_golden_output_with_forked_shares(name, argv, stdin, monkeypatch):
-    """The same bytes when the input files of every analyze are cut into forked shares."""
+    """The same bytes when the input files of every analyze are cut into forked
+    shares, and every sweep of two points or more into forked segments."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sweep, "_MIN_POINTS", 1)
     test_golden_output(name, argv, stdin)
 
 

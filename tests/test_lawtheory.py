@@ -387,6 +387,27 @@ def test_frequency_series_points_equal_the_exact_counts(data):
     assert ms == list(range(1, m_max + 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_series_from_start_is_the_tail_of_the_whole_series(data):
+    radix = data.draw(st.integers(2, 36), label="radix")
+    n = data.draw(st.integers(1, radix - 1), label="n")
+    m_max = data.draw(st.integers(1, 2000), label="m_max")
+    start = data.draw(st.integers(1, m_max + 1), label="start")
+    whole = list(frequency_series(n, m_max, radix))
+    assert list(frequency_series(n, m_max, radix, start)) == whole[start - 1 :]
+
+
+def test_a_series_can_start_past_one_word():
+    start = 2 * 10**30 - 2
+    points = list(frequency_series(2, start + 3, 10, start))
+    assert [p[:2] for p in points] == [
+        (m, leading_digit_count(2, m)) for m in range(start, start + 4)
+    ]
+    with pytest.raises(DigitLawError):
+        frequency_series(1, 10, 10, 0)
+
+
 def test_frequency_series_starts_right_past_one_word():
     first = list(itertools.islice(frequency_series(1, 10**30), 120))
     assert first == list(frequency_series(1, 120))
