@@ -12,27 +12,29 @@ are counted in small blocks (lines_before), so that its diagnostics carry
 the file's line numbers.  A delimited file is never cut: a column missing
 from every data line is a fault of the whole file.
 
-read_in_shares forks a child for each share but the first.  A fork, a
-short reply over a pipe and a waitpid took 1.5 to 2 ms in the CLI process
-(medians of 50, CPython 3.11 on 2 shared CPUs).  A child sends its share's
-sample and diagnostics back over a pipe as marshal records, which the
-parent, the same interpreter, reads one at a time.  Every share is read in
-this process unless its child exits 0 after a whole reply, so a share that
-got no child or whose child failed fails as a read in one process does.
-Digit counts add exactly (empirical.merge), so the shares merged in input
-order give what a read in one process gives.  Standard input is read in
-one process and never comes here.
+read_in_shares reads each share but the first in a forked child, through
+cli.in_children.  A fork, a short reply through a memory file and a
+waitpid took about 1.1 ms in a process that had imported the CLI (medians
+of 50, CPython 3.11 on 2 shared CPUs).  A child writes its share's sample
+and diagnostics to its memory file as marshal records, which the parent,
+the same interpreter, reads one at a time.  Every share is read in this
+process unless its child exits 0 after writing its whole reply, so a share
+that got no child or whose child failed fails as a read in one process
+does.  Digit counts add exactly (empirical.merge), so the shares merged in
+input order give what a read in one process gives.  Standard input is
+read in one process and never comes here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import marshal
 import os
 import sys
 from typing import Callable
 
-from .cli import SIGKILL, fork_cpus
+from .cli import fork_cpus, in_children
 from .empirical import SampleSummary, merge
 
 # A reply is marshal records: (counts, skipped_zero, skipped_nonfinite, source)
@@ -168,53 +170,28 @@ def open_window(path: str, start: int, stop: int | None) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BufferedReader(window), encoding="utf-8", errors="replace")
 
 
-def _fork(read_share: Callable, share: list[tuple]) -> tuple | None:
-    """(pid, pipe) of a child forked to write the reply for share to pipe, or None."""
-    fds: tuple = ()
-    try:
-        fds = read_fd, write_fd = os.pipe()
-        pid = os.fork()
-    except OSError:  # no pipe, or no process: the share is read in this one
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:  # never returns; exits 0 only once the whole reply is written
-        code = 1
-        try:
-            diagnostics: list[dict] = []
-            s = read_share(share, diagnostics)
-            place = {window[0]: i for i, window in enumerate(share)}
-            with open(write_fd, "wb") as pipe:
-                marshal.dump((s.counts, s.skipped_zero, s.skipped_nonfinite, s.source), pipe)
-                for d in diagnostics:
-                    marshal.dump((place[d["source"]], d["line"], d["message"]), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+def _reply(read_share: Callable, share: list[tuple], file) -> None:
+    """Read share by read_share; write its sample and diagnostics to file as marshal records."""
+    diagnostics: list[dict] = []
+    s = read_share(share, diagnostics)
+    place = {window[0]: i for i, window in enumerate(share)}
+    marshal.dump((s.counts, s.skipped_zero, s.skipped_nonfinite, s.source), file)
+    for d in diagnostics:
+        marshal.dump((place[d["source"]], d["line"], d["message"]), file)
 
 
-def _take(pid: int, pipe, share: list[tuple], diagnostics: list[dict]) -> SampleSummary | None:
-    """The sample of the reply on pipe once child pid is reaped; None if the child failed.
+def _take(file, share: list[tuple], diagnostics: list[dict]) -> SampleSummary:
+    """The sample of the reply in file; its diagnostics go to diagnostics.
 
-    The records are read one at a time, to the end of the pipe.  Only a
-    child that exited 0 sent a whole reply, whose diagnostics go to diagnostics.
+    The records are read one at a time, to the end of the file.
     """
-    summary, taken = None, []
-    with pipe:
+    counts, *skips, source = marshal.load(file)
+    while True:
         try:
-            counts, *skips, source = marshal.load(pipe)
-            summary = SampleSummary(len(counts) + 1, counts, *skips, source)
-            while True:
-                place, line, message = marshal.load(pipe)
-                taken.append({"source": share[place][0], "line": line, "message": message})
-        except EOFError:  # the end of the reply, whole or cut short
-            pass
-    if os.waitpid(pid, 0)[1]:
-        return None
-    diagnostics.extend(taken)
-    return summary
+            place, line, message = marshal.load(file)
+        except EOFError:
+            return SampleSummary(len(counts) + 1, counts, *skips, source)
+        diagnostics.append({"source": share[place][0], "line": line, "message": message})
 
 
 def read_in_shares(
@@ -227,23 +204,14 @@ def read_in_shares(
     """The inputs tallied into one sample, share by share in input order.
 
     The shares are plan(inputs, split_files=split_files).  A share is read
-    here by read_share(share, diagnostics) unless its child sends a whole
-    reply: the first share, one with no child, one whose child failed.
+    here by read_share(share, diagnostics) unless cli.in_children gives its
+    child's reply: the first share, one with no child, one whose child failed.
     """
     shares = plan(inputs, split_files=split_files)
-    children: list = [None]  # (pid, pipe) of each share's child until it is reaped, or None
-    try:
-        for share in shares[1:]:
-            children.append(_fork(read_share, share))
-        summaries = []
-        for i, share in enumerate(shares):
-            summary = children[i] and _take(*children[i], share, diagnostics)
-            children[i] = None
-            summaries.append(summary or read_share(share, diagnostics))
-    finally:  # children are left here only after an error: end them, not wait for them
-        for pid, pipe in filter(None, children):
-            os.kill(pid, SIGKILL)
-            pipe.close()
-        for pid, _ in filter(None, children):
-            os.waitpid(pid, 0)
+    replies = in_children(shares, lambda share, file: _reply(read_share, share, file))
+    with contextlib.closing(replies):
+        summaries = [
+            read_share(share, diagnostics) if reply is None else _take(reply, share, diagnostics)
+            for share, reply in zip(shares, replies)
+        ]
     return merge(summaries)

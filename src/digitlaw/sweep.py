@@ -10,13 +10,11 @@ byte for byte as a whole run would: a series' heading goes with its point
 m = 1 and its closing text with its point m_max.
 
 The segments are rendered in rounds of at most one per usable CPU
-(cli.fork_cpus).  A forked child renders each segment of a round but the
-first into an anonymous memory file (os.memfd_create), while this process
-writes the first to the output; then it copies each child's file in
-order, _COPY_BYTES at a time.  A segment is rendered here unless its child
-exits 0 after writing it whole: one that got no memory file or no child,
-or whose child failed.  So the output is the same bytes in every case,
-and without os.memfd_create the whole sweep is rendered here.
+(cli.fork_cpus), each round by cli.in_children: a forked child renders
+each segment but the first into a memory file while this process writes
+the first to the output, then copies each child's file in order,
+_COPY_BYTES at a time, or renders the segment itself where in_children
+gives no file.  So the output is the same bytes in every case.
 
 A segment holds at most _MAX_POINTS points, so the text that waits in
 memory files at once is bounded whatever m_max is, and unless the sweep
@@ -26,6 +24,7 @@ than it saves.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from itertools import islice
@@ -33,13 +32,13 @@ from typing import Callable, Iterable, Iterator
 
 from .cli import (
     EXIT_OK,
-    SIGKILL,
     _LINES_PER_WRITE,
     _SIG4_CELL,
     _fraction_cell,
     _fraction_doc,
     _table,
     fork_cpus,
+    in_children,
 )
 from .digits import check_digit
 from .errors import CapacityError, DomainError, UsageError
@@ -201,27 +200,16 @@ def _json_points(
 
 
 def _render_on_cpus(report: dict, render: Callable) -> Iterator[str]:
-    """The text of every segment in order, render(segment) giving one segment's.
-
-    Every child still running when this generator is closed, as when the
-    output's reader has gone, is killed and reaped.
-    """
+    """The text of every segment in order, render(segment) giving one segment's."""
     result = report["result"]
-    cpus = fork_cpus() if hasattr(os, "memfd_create") else 1
-    for segments in _rounds(len(result["series"]), result["m_max"], cpus):
-        children: list = [None]  # (pid, fd) of each segment's child until it is taken, or None
-        try:
-            for segment in segments[1:]:
-                children.append(_fork(render, segment))
-            for i, segment in enumerate(segments):
-                child, children[i] = children[i], None
-                yield from _take(child, render, segment) if child else render(segment)
-        finally:
-            for pid, fd in filter(None, children):
-                os.kill(pid, SIGKILL)
-                os.close(fd)
-            for pid, _ in filter(None, children):
-                os.waitpid(pid, 0)
+
+    def write(segment: list[tuple], file) -> None:
+        file.writelines(piece.encode("ascii") for piece in render(segment))
+
+    for segments in _rounds(len(result["series"]), result["m_max"], fork_cpus()):
+        with contextlib.closing(in_children(segments, write)) as texts:
+            for segment, text in zip(segments, texts):
+                yield from render(segment) if text is None else _copy(text)
 
 
 def _rounds(series: int, m_max: int, cpus: int) -> Iterator[list[list[tuple]]]:
@@ -254,41 +242,13 @@ def _pieces(start: int, stop: int, m_max: int) -> list[tuple]:
     return pieces
 
 
-def _fork(render: Callable, segment: list[tuple]) -> tuple | None:
-    """(pid, fd) of a child forked to write segment's text to the memory file fd, or None."""
-    fd = None
-    try:
-        fd = os.memfd_create("digitlaw-sweep")
-        pid = os.fork()
-    except OSError:  # no memory file, or no process: the segment is rendered in this one
-        if fd is not None:
-            os.close(fd)
-        return None
-    if pid == 0:  # never returns; exits 0 only once the whole text is written
-        code = 1
-        try:
-            with open(fd, "w", encoding="ascii", newline="", closefd=False) as out:
-                out.writelines(render(segment))
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, fd
-
-
-def _take(child: tuple, render: Callable, segment: list[tuple]) -> Iterator[str]:
-    """The text of segment: its child's memory file if the child exited 0, else rendered here.
+def _copy(file) -> Iterator[str]:
+    """The text of a segment from the memory file its child wrote, _COPY_BYTES at a time.
 
     The sweep's text is ASCII (the encoder escapes the rest), so each block
     of the file decodes on its own.
     """
-    pid, fd = child
-    try:
-        if os.waitpid(pid, 0)[1]:
-            yield from render(segment)
-            return
-        offset = 0
-        while block := os.pread(fd, _COPY_BYTES, offset):
-            offset += len(block)
-            yield block.decode("ascii")
-    finally:
-        os.close(fd)
+    offset = 0
+    while block := os.pread(file.fileno(), _COPY_BYTES, offset):
+        offset += len(block)
+        yield block.decode("ascii")

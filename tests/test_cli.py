@@ -764,38 +764,6 @@ def test_a_failing_share_fails_as_a_serial_read_does(case, tmp_path, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize(
-    "call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork", "pipe"]
-)
-def test_shares_that_get_no_process_are_read_as_on_one_cpu(
-    call, code, tmp_path, monkeypatch, capsys
-):
-    paths = []
-    for i in range(4):
-        paths.append(tmp_path / f"part{i}.txt")
-        paths[-1].write_text(f"{i + 1}1 {i + 2}2\nx{i}\n")
-    argv = ["analyze", "--output", "json"] + [a for p in paths for a in ("--input", str(p))]
-    use_cpus(monkeypatch, 1)
-    serial = execute(argv)
-    use_cpus(monkeypatch, 3)
-
-    def refuse(*args):
-        raise OSError(code, os.strerror(code))
-
-    monkeypatch.setattr(os, call, refuse)
-    open_fds = len(os.listdir("/dev/fd"))
-    forked = execute(argv)
-    capsys.readouterr()
-    assert without_meta(forked) == without_meta(serial)
-    assert forked.exit_code == EXIT_OK
-    assert [(d["source"], d["line"]) for d in forked.report["diagnostics"]] == [
-        (str(p), 2) for p in paths
-    ]
-    assert len(os.listdir("/dev/fd")) == open_fds  # a pipe made for a refused fork is closed
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_stdin_one_input_and_a_fifo_are_read_without_forking(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.txt"
     path.write_text("12 13 24\n")
@@ -855,7 +823,7 @@ def test_analyze_base_two_fails_loudly_not_silently(segment_file, capsys):
 # ----------------------------------------------- sweeps on several CPUs
 
 
-def sweep_text(argv, out_path=None):
+def command_text(argv, out_path=None):
     """What execute(argv) writes, to stdout or to out_path, without its elapsed_s line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -885,15 +853,15 @@ def test_a_sweep_cut_into_segments_prints_as_one_process_does(data, tmp_path):
     argv = ["sweep", *which, "--m-max", str(m_max), "--base", str(radix), "--output", output]
     with pytest.MonkeyPatch.context() as patch:
         use_cpus(patch, 1)
-        expected = sweep_text(argv)
+        expected = command_text(argv)
         # segments of one point or more, and of at most 16, so in rounds too
         patch.setattr(sweep, "_MIN_POINTS", 1)
         patch.setattr(sweep, "_MAX_POINTS", 16)
         forks = count_forks(patch)
         for cpus in (1, 2, 3, 4):
             use_cpus(patch, cpus)
-            assert sweep_text(argv) == expected
-            assert sweep_text(argv, tmp_path / "out.txt") == expected
+            assert command_text(argv) == expected
+            assert command_text(argv, tmp_path / "out.txt") == expected
     points = m_max * (radix - 1 if which == ["--all-digits"] else 1)
     assert bool(forks) == (points > 1)
     no_children_left()
@@ -902,7 +870,7 @@ def test_a_sweep_cut_into_segments_prints_as_one_process_does(data, tmp_path):
 def test_a_segment_whose_child_fails_is_rendered_here(monkeypatch):
     argv = ["sweep", "--all-digits", "--m-max", "3000", "--output", "json"]
     use_cpus(monkeypatch, 1)
-    expected = sweep_text(argv)
+    expected = command_text(argv)
     parent, real_series = os.getpid(), sweep.frequency_series
 
     def fails_part_way_in_a_child(*args):
@@ -914,7 +882,7 @@ def test_a_segment_whose_child_fails_is_rendered_here(monkeypatch):
     monkeypatch.setattr(sweep, "frequency_series", fails_part_way_in_a_child)
     use_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
-    assert sweep_text(argv) == expected
+    assert command_text(argv) == expected
     assert len(forks) == 2
     no_children_left()
 
@@ -922,10 +890,19 @@ def test_a_segment_whose_child_fails_is_rendered_here(monkeypatch):
 @pytest.mark.parametrize(
     "call, code", [("fork", errno.EAGAIN), ("memfd_create", errno.EMFILE)], ids=["fork", "memfd"]
 )
-def test_segments_that_get_no_process_are_rendered_here(call, code, monkeypatch):
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_shares_and_segments_that_get_no_process_are_done_here(
+    command, call, code, tmp_path, monkeypatch
+):
     argv = ["sweep", "--digit", "1", "--m-max", "9000"]
+    if command == "analyze":  # four inputs, each with a bad token on line 2
+        argv = ["analyze", "--output", "json"]
+        for i in range(4):
+            path = tmp_path / f"part{i}.txt"
+            path.write_text(f"{i + 1}1 {i + 2}2\nx{i}\n")
+            argv += ["--input", str(path)]
     use_cpus(monkeypatch, 1)
-    expected = sweep_text(argv)
+    expected = command_text(argv)
     use_cpus(monkeypatch, 3)
 
     def refuse(*args):
@@ -933,42 +910,42 @@ def test_segments_that_get_no_process_are_rendered_here(call, code, monkeypatch)
 
     monkeypatch.setattr(os, call, refuse, raising=False)
     open_fds = len(os.listdir("/dev/fd"))
-    assert sweep_text(argv) == expected
+    assert command_text(argv) == expected
     assert len(os.listdir("/dev/fd")) == open_fds  # a memory file made for a refused fork is closed
     no_children_left()
 
 
-def test_without_memory_files_only_analyze_forks(tmp_path, monkeypatch, capsys):
+def test_without_memory_files_nothing_forks(tmp_path, monkeypatch):
     paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
     for path in paths:
         path.write_text("12 13 24\n")
-    argv = ["sweep", "--digit", "1", "--m-max", "9000"]
+    commands = [
+        ["sweep", "--digit", "1", "--m-max", "9000"],
+        ["analyze", "--output", "json", "--input", str(paths[0]), "--input", str(paths[1])],
+    ]
     use_cpus(monkeypatch, 1)
-    expected = sweep_text(argv)
+    expected = [command_text(argv) for argv in commands]
     use_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "memfd_create", raising=False)
     forks = count_forks(monkeypatch)
-    assert sweep_text(argv) == expected
+    assert [command_text(argv) for argv in commands] == expected
     assert forks == []
-    doc = run_json(["analyze", "--input", str(paths[0]), "--input", str(paths[1])], capsys)
-    assert doc["result"]["sample"]["used"] == 6
-    assert len(forks) == 1
 
 
 def test_small_sweeps_stay_in_one_process_and_no_segment_is_below_the_floor(monkeypatch):
     use_cpus(monkeypatch, 16)
     forks = count_forks(monkeypatch)
-    sweep_text(["sweep", "--all-digits", "--m-max", "40"])
+    command_text(["sweep", "--all-digits", "--m-max", "40"])
     assert forks == []
     segments = [segment for round_ in sweep._rounds(1, 40_138, 16) for segment in round_]
     sizes = [sum(hi - lo + 1 for _, lo, hi in segment) for segment in segments]
     assert len(sizes) > 2 and sum(sizes) == 40_138
     assert min(sizes) >= sweep._MIN_POINTS
     argv = ["sweep", "--digit", "1", "--m-max", "40138"]
-    text = sweep_text(argv)
+    text = command_text(argv)
     assert len(forks) == len(sizes) - 1
     use_cpus(monkeypatch, 1)
-    assert sweep_text(argv) == text
+    assert command_text(argv) == text
     no_children_left()
 
 
@@ -1447,6 +1424,26 @@ def test_the_package_imports_a_pinned_set_of_modules():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported == PACKAGE_IMPORTS
+
+
+# The calls that start, wait for, end and hear back from a child process.
+PROCESS_CALLS = {"fork", "memfd_create", "waitpid", "kill", "_exit"}
+
+
+def test_one_function_forks_waits_kills_and_makes_memory_files():
+    """Every child process is run by cli.in_children, and nothing else uses
+    these calls (or os.pipe), so that one rule decides when a child's work counts."""
+    import digitlaw
+
+    used = {}
+    for path in Path(digitlaw.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id == "os" and node.attr in PROCESS_CALLS | {"pipe"}:
+                        used.setdefault(node.attr, set()).add(where)
+    assert used == {name: {("cli.py", "in_children")} for name in PROCESS_CALLS}
 
 
 def test_cli_imports_no_private_name_of_another_module():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from digitlaw import sweep
+from digitlaw.cli import fork_cpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 from regenerate import CASES, HERE, run_case  # noqa: E402
@@ -40,6 +41,7 @@ def test_golden_output_with_forked_shares(name, argv, stdin, monkeypatch):
     shares, and every sweep of two points or more into forked segments."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sweep, "_MIN_POINTS", 1)
+    assert fork_cpus() == 2  # not a second pass in one process, as where forking is off
     test_golden_output(name, argv, stdin)
 
 

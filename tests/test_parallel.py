@@ -124,7 +124,7 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
     per_input, inputs
 ):
     """A child that refuses a message holding NUL leaves its share to be read
-    here.  At 8,192 diagnostics an input a reply outgrows a pipe's buffer."""
+    here.  At 8,192 diagnostics an input a reply spans many 8 KB reads of its file."""
     read_here = []
     pid = os.getpid()
 
