@@ -18,11 +18,18 @@ Exit codes: 0 success; 1 runtime failure (unreadable input, empty
 sample, a `sweep --m-max` too large to index); 2 usage error (bad flags,
 or `--probs` values that are not a distribution); 3 bound violation
 under `analyze --require-bounds`.
+
+The program (`python -m digitlaw`, `python -m digitlaw.cli`, the
+`digitlaw` script) enters by run(), which runs the at-exit handlers,
+flushes standard output and error and ends the process without tearing
+the interpreter down.  main() and execute() serve callers in a process
+that goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import json
@@ -32,7 +39,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
 from .digits import MAX_BASE, MIN_BASE
@@ -85,6 +92,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     return outcome.exit_code
 
 
+def run() -> NoReturn:
+    """Run this process's command line, then end the process with its exit code.
+
+    Everything made before the command is frozen out of the cycle
+    collector first.  After main() returns, the at-exit handlers run and
+    standard output and error are flushed, as at interpreter exit, and
+    the process ends at once: tearing down every module and object would
+    only free memory that the kernel takes back anyway.  If a flush
+    fails, or main() raises, the interpreter exits as usual and reports it.
+    """
+    gc.freeze()
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 def execute(argv: Sequence[str]) -> CommandOutcome:
     """Run one command line and emit its report to --out or stdout."""
     started = time.perf_counter()
@@ -94,7 +123,8 @@ def execute(argv: Sequence[str]) -> CommandOutcome:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return CommandOutcome(code, None)
     # The parser's objects, about 40 KB, hold reference cycles that only the
-    # cycle collector frees.  Freed now, their memory is reused by the command.
+    # cycle collector frees.  Freed now, their memory is reused by the command;
+    # under run(), which froze what start-up made, this scans only the parser.
     gc.collect()
 
     report: dict = {
@@ -518,6 +548,8 @@ def _emit(chunks: Iterator[str], out_path: str | None) -> None:
     """
     with contextlib.closing(chunks):
         if out_path is None:
+            if sys.stdout is None:  # closed, as by `>&-`
+                raise OSError("standard output is closed; name a file with --out")
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
@@ -638,4 +670,4 @@ def _render_bounds(report: dict) -> Iterator[str]:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

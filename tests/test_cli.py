@@ -823,6 +823,10 @@ def test_analyze_base_two_fails_loudly_not_silently(segment_file, capsys):
 # ----------------------------------------------- sweeps on several CPUs
 
 
+def without_elapsed(text: str) -> str:
+    return "".join(line for line in text.splitlines(True) if '"elapsed_s": ' not in line)
+
+
 def command_text(argv, out_path=None):
     """What execute(argv) writes, to stdout or to out_path, without its elapsed_s line."""
     out = io.StringIO()
@@ -830,7 +834,7 @@ def command_text(argv, out_path=None):
         outcome = execute(argv + (["--out", str(out_path)] if out_path else []))
     assert outcome.exit_code == EXIT_OK
     text = out_path.read_text(encoding="utf-8") if out_path else out.getvalue()
-    return "".join(line for line in text.splitlines(True) if '"elapsed_s": ' not in line)
+    return without_elapsed(text)
 
 
 def no_children_left():
@@ -1326,17 +1330,95 @@ def test_unwritable_out_path_exits_one(tmp_path, capsys):
     assert "report.json" in capsys.readouterr().err
 
 
+# The program's entry, which ends without interpreter teardown, and the body
+# of a script that returns cli.main's code and so tears the interpreter down:
+# only then does an unclosed file or an unreaped child warn at exit.
+PROGRAM = ["-m", "digitlaw"]
+TEARDOWN = ["-c", "import sys; from digitlaw.cli import main; sys.exit(main())"]
+DEV_FLAGS = ["-X", "dev", "-W", "error::ResourceWarning"]
+
+
 def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
-    argv = ["-m", "digitlaw", "sweep", "--digit", "1", "--m-max", "200000"]
-    flags = ["-X", "dev", "-W", "error::ResourceWarning"]
+    argv = ["sweep", "--digit", "1", "--m-max", "200000"]
+    for entry in (PROGRAM, TEARDOWN):
+        with subprocess.Popen(
+            [sys.executable, *DEV_FLAGS, *entry, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.readline().startswith(b"leading-digit frequency")
+            child.stdout.close()  # the table is megabytes, far past a pipe's buffer
+            err = child.stderr.read()
+        assert err == b""
+        assert child.returncode == EXIT_FAILURE
+
+
+def assert_no_process_left_in_group(pgid):
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
+
+
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_no_child_outlives_the_program(command, tmp_path):
+    """A child of the program is reaped before it ends, at a closed pipe too.
+
+    The program runs as the leader of its own process group, so that any
+    child it left behind would still be found in that group."""
+    if command == "sweep":
+        argv = ["sweep", "--digit", "1", "--m-max", "200000"]
+    else:
+        argv = ["analyze"]
+        for name in ("a.txt", "b.txt"):
+            (tmp_path / name).write_text("12 13 24\n" * 5000)
+            argv += ["--input", str(tmp_path / name)]
     with subprocess.Popen(
-        [sys.executable, *flags, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        [sys.executable, *PROGRAM, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
     ) as child:
-        assert child.stdout.readline().startswith(b"leading-digit frequency")
-        child.stdout.close()  # the table is megabytes, far past a pipe's buffer
+        if command == "sweep":
+            assert child.stdout.readline().startswith(b"leading-digit frequency")
+            child.stdout.close()
+        else:
+            assert b"used 30000" in child.stdout.read()
         err = child.stderr.read()
     assert err == b""
-    assert child.returncode == EXIT_FAILURE
+    assert child.returncode == (EXIT_FAILURE if command == "sweep" else EXIT_OK)
+    assert_no_process_left_in_group(child.pid)
+
+
+def test_a_closed_stdout_is_refused_unless_the_report_goes_to_a_file(
+    monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(sys, "stdout", None)  # as `digitlaw theory >&-` leaves it
+    for argv in (["theory"], ["sweep", "--digit", "1", "--m-max", "200000"]):
+        outcome = execute(argv)
+        assert outcome.exit_code == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "digitlaw: standard output is closed; name a file with --out\n"
+        )
+    target = tmp_path / "theory.txt"
+    assert execute(["theory", "--out", str(target)]).exit_code == EXIT_OK
+    assert target.read_text().startswith("first-digit laws, base 10\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_the_program_with_stdout_closed_exits_one_with_one_line(tmp_path):
+    def closed_stdout(*argv):
+        return subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, *PROGRAM, *argv],
+            capture_output=True,
+            text=True,
+        )
+
+    done = closed_stdout("theory")
+    assert done.returncode == EXIT_FAILURE
+    assert done.stderr == "digitlaw: standard output is closed; name a file with --out\n"
+    target = tmp_path / "theory.txt"
+    done = closed_stdout("theory", "--out", str(target))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert target.read_text().startswith("first-digit laws, base 10\n")
 
 
 def _open_fds() -> set[int]:
@@ -1369,6 +1451,7 @@ def test_a_closed_pipe_on_stdout_leaves_no_descriptor_open(monkeypatch):
 PACKAGE_IMPORTS = {
     "__future__",
     "argparse",
+    "atexit",
     "contextlib",
     "dataclasses",
     "fractions",
@@ -1432,7 +1515,10 @@ PROCESS_CALLS = {"fork", "memfd_create", "waitpid", "kill", "_exit"}
 
 def test_one_function_forks_waits_kills_and_makes_memory_files():
     """Every child process is run by cli.in_children, and nothing else uses
-    these calls (or os.pipe), so that one rule decides when a child's work counts."""
+    these calls (or os.pipe), so that one rule decides when a child's work counts.
+
+    The one other os._exit is cli.run's, which ends the program: a child
+    must not flush the buffers of standard output it shares with its parent."""
     import digitlaw
 
     used = {}
@@ -1443,7 +1529,9 @@ def test_one_function_forks_waits_kills_and_makes_memory_files():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                     if node.value.id == "os" and node.attr in PROCESS_CALLS | {"pipe"}:
                         used.setdefault(node.attr, set()).add(where)
-    assert used == {name: {("cli.py", "in_children")} for name in PROCESS_CALLS}
+    expected = {name: {("cli.py", "in_children")} for name in PROCESS_CALLS}
+    expected["_exit"].add(("cli.py", "run"))
+    assert used == expected
 
 
 def test_cli_imports_no_private_name_of_another_module():
@@ -1494,20 +1582,26 @@ def run_module_theory():
     )
 
 
-def test_console_script_and_module_entry_points():
-    # Run the body an installer writes into the `digitlaw` console script,
-    # built from the repo's own [project.scripts] declaration, so the test
-    # needs no install yet still breaks if the declaration or cli.main does.
+def console_script():
+    """The body an installer writes into the `digitlaw` console script.
+
+    Built from the repo's own [project.scripts] declaration, so a test
+    needs no install yet still breaks if the declaration or its target does.
+    """
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["digitlaw"]
     module_name, attr = target.split(":")
-    wrapper = (
+    return [
+        "-c",
         f"import sys; from {module_name} import {attr}; "
-        f"sys.argv[0] = 'digitlaw'; sys.exit({attr}())"
-    )
+        f"sys.argv[0] = 'digitlaw'; sys.exit({attr}())",
+    ]
+
+
+def test_console_script_and_module_entry_points():
     script = subprocess.run(
-        [sys.executable, "-c", wrapper, "theory", "--base", "10"],
+        [sys.executable, *console_script(), "theory", "--base", "10"],
         capture_output=True,
         text=True,
     )
@@ -1516,6 +1610,65 @@ def test_console_script_and_module_entry_points():
     module = run_module_theory()
     assert module.returncode == 0, module.stderr
     assert module.stdout == script.stdout
+
+
+# The environment of a child whose standard output is block-buffered unless
+# it is a terminal, so that what is still buffered at exit must be flushed.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--all-digits", "--m-max", "1000", "--output", "json"], EXIT_OK),
+        (["analyze", "--input", "no-such-input.txt"], EXIT_FAILURE),
+        (["theory", "--base", "99"], EXIT_USAGE),
+        (["analyze", "--input", "segment.txt", "--require-bounds"], EXIT_BOUNDS),
+    ],
+    ids=["ok", "failure", "usage", "bounds"],
+)
+@pytest.mark.parametrize("entry", ["module", "cli-module", "script"])
+def test_the_program_exits_and_prints_as_execute_does(
+    entry, argv, code, segment_file, tmp_path, capsys
+):
+    """Each way in to the program gives execute's exit code, and its bytes
+    outside meta on stdout written to a file, so block-buffered."""
+    argv = [str(segment_file) if arg == "segment.txt" else arg for arg in argv]
+    outcome = execute(argv)
+    expected = capsys.readouterr()
+    assert outcome.exit_code == code
+    if entry == "script":
+        prefix = console_script()
+    else:
+        prefix = {"module": PROGRAM, "cli-module": ["-m", "digitlaw.cli"]}[entry]
+    stdout = tmp_path / "stdout"
+    with stdout.open("wb") as file:
+        done = subprocess.run(
+            [sys.executable, *prefix, *argv],
+            stdout=file,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=BUFFERED_ENV,
+        )
+    assert done.returncode == code
+    assert done.stderr == expected.err
+    assert without_elapsed(stdout.read_bytes().decode()) == without_elapsed(expected.out)
+
+
+def test_the_program_runs_at_exit_handlers_before_its_last_flush():
+    body = (
+        "import atexit, sys; atexit.register(sys.stdout.write, 'handler ran\\n'); "
+        "from digitlaw.cli import run; run()"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", body, "theory", "--base", "3"],
+        capture_output=True,
+        text=True,
+        env=BUFFERED_ENV,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout.startswith("first-digit laws, base 3\n")
+    assert done.stdout.endswith("\nhandler ran\n")
 
 
 @pytest.mark.skipif(
