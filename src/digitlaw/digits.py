@@ -2,10 +2,12 @@
 
 Three extractors cover the three ways numbers arrive: exact integers,
 binary floating-point values, and decimal text tokens.  The integer path
-is exact at any width.  The float path scales by the radix and therefore
-inherits ordinary rounding fuzz right at digit boundaries.  The text path
-reads the digit as printed and is the preferred route for base-10 data,
-since it cannot be shifted by parse-time rounding.
+is exact at any width.  The float path is exact in a power-of-two radix,
+where the digit is read from the binary exponent and significand; in any
+other radix it scales by the radix and therefore inherits ordinary
+rounding fuzz right at digit boundaries.  The text path reads the digit
+as printed and is the preferred route for base-10 data, since it cannot
+be shifted by parse-time rounding.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ MAX_BASE = 36
 # sign.  No other Unicode digits, thousands separators or locale forms.
 # Under this grammar only sign, zeros and the point can precede the first
 # nonzero digit of the significand, so it is the first character of
-# token.lstrip("+-0.") when that character is 1-9.  The pattern must stay
-# unambiguous, matching a string in at most one way: a form such as
-# [0-9]+\.?[0-9]* can split a run of digits at any point, so rejecting a
-# long junk token takes time quadratic in its length, and exponential time
-# inside the repeated line patterns that ingest builds from this one.
+# token.lstrip("+-0.") when that character is 1-9.  Over the characters
+# of this grammar, float() accepts exactly the strings the pattern
+# fullmatches, which ingest relies on to check clean text in C.  The
+# pattern must stay unambiguous, matching a string in at most one way: a
+# form such as [0-9]+\.?[0-9]* can split a run of digits at any point, so
+# rejecting a long junk token, alone or inside the line pattern that
+# ingest builds from this one, takes time quadratic in its length.
 NUMERAL_RE = re.compile(
     r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 )
@@ -79,16 +83,35 @@ def leading_digit_int(m: int, base: int = 10) -> int:
     return m
 
 
+# Each power-of-two radix 2**j, with its j: the radices whose digits are
+# read from a double's binary exponent and top significand bits exactly.
+RADIX_BITS = {2**j: j for j in range(1, 6)}
+
+
 @functools.cache
 def float_digit_rule(radix: int) -> Callable[[float], int]:
     """The float leading-digit rule of a radix, built once per radix.
 
     The function returned maps a positive finite float, unchecked, to its
-    first digit's value: scaled into [1, radix) by repeated multiplication
-    or division by the radix, then floored.  A result within 4 ulps under
-    the radix is taken to be the radix itself, reached through float
-    rounding (1000 * 0.001 lands a hair below 1), and carries to digit 1.
+    first digit's value.  In a radix 2**j (RADIX_BITS) the digit is exact:
+    with m, e = math.frexp(s), s is 2m * 2**(e - 1) with 2m in [1, 2), so
+    its digit is int(m * 2**((e - 1) % j + 1)), and scaling by a power of
+    two loses nothing.  In any other radix s is scaled into [1, radix) by
+    repeated multiplication or division by the radix, then floored; a
+    result within 4 ulps under the radix is taken to be the radix itself,
+    reached through float rounding (1000 * 0.001 lands a hair below 1),
+    and carries to digit 1.
     """
+    bits = RADIX_BITS.get(radix)
+    if bits is not None:
+        frexp = math.frexp
+
+        def exact_digit(s: float) -> int:
+            m, e = frexp(s)
+            return int(m * (2 << (e - 1) % bits))
+
+        return exact_digit
+
     n = float(radix)
     carry = n - 4.0 * math.ulp(n)
 
@@ -105,8 +128,9 @@ def float_digit_rule(radix: int) -> Callable[[float], int]:
 def leading_digit_real(x: float, base: int = 10) -> int:
     """First significant digit of a nonzero finite real in the base.
 
-    |x| is read by float_digit_rule(base): scaled into [1, base) by the
-    radix, carried to digit 1 within a few ulps under the radix.
+    |x| is read by float_digit_rule(base): exactly in a power-of-two
+    base; in any other, scaled into [1, base) by the radix and carried to
+    digit 1 within a few ulps under the radix.
     """
     radix = check_base(base)
     try:

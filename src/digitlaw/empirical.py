@@ -12,11 +12,20 @@ theoretical laws.
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .digits import DECIMAL_INDEX, check_base, float_digit_rule, leading_digit_int
+from .digits import (
+    DECIMAL_INDEX,
+    RADIX_BITS,
+    check_base,
+    float_digit_rule,
+    leading_digit_int,
+)
 from .errors import EmptySampleError, UsageError
 from .lawtheory import LABEL_EMPIRICAL, DigitDistribution
 
@@ -59,6 +68,66 @@ class SampleSummary:
         return self.used + self.skipped_zero + self.skipped_nonfinite
 
 
+# tally takes its stream this many items at a time.
+_CHUNK_ITEMS = 256
+
+# In the bytes of an array of doubles, the 16-bit word of each double that
+# holds its sign, 11-bit exponent and top 4 significand bits, and the byte
+# that holds its sign and top 7 exponent bits.
+if sys.byteorder == "little":
+    _TOP_WORDS, _TOP_BYTES = slice(3, None, 4), slice(7, None, 8)
+else:
+    _TOP_WORDS, _TOP_BYTES = slice(0, None, 4), slice(0, None, 8)
+
+
+def _count_top_bits(chunk: list, top_bits: Counter) -> bool:
+    """Count the top 16 bits of each item's double into top_bits, in C.
+
+    Returns False, counting nothing, unless every item is a str and no
+    value is subnormal: a subnormal's digit can lie below those bits.  A
+    str that float() rejects raises its ValueError.
+    """
+    from array import array  # loaded only by a power-of-two radix
+
+    try:
+        "".join(chunk)  # a TypeError unless every item is a str
+    except TypeError:
+        return False
+    # through a list, which array() copies at once; from an iterator it
+    # grows one item at a time
+    floats = list(map(float, chunk))
+    raw = array("d", floats).tobytes()
+    top = raw[_TOP_BYTES]
+    # the values whose biased exponent is under 16, every zero and
+    # subnormal among them
+    tiny = top.count(0) + top.count(0x80)
+    if tiny and tiny != floats.count(0.0):
+        return False
+    top_bits.update(array("H", raw)[_TOP_WORDS])
+    return True
+
+
+def _digits_of_top_bits(top_bits: Counter, bits: int, counts: list[int]) -> tuple[int, int]:
+    """Add the digit of each key of top_bits, in radix 2**bits, to counts.
+
+    With biased exponent E and top significand bits t, a finite nonzero
+    double is 1.t... * 2**(E - 1023), whose digit is (16 | t) >> (4 - r)
+    for r = (E - 1023) % bits.  E = 2047 is non-finite and, since
+    _count_top_bits counts no subnormal, E = 0 is zero.  Returns the
+    zero and non-finite counts.
+    """
+    zero = nonfinite = 0
+    for key, n in top_bits.items():
+        exponent = key >> 4 & 0x7FF
+        if exponent == 0x7FF:
+            nonfinite += n
+        elif exponent == 0:
+            zero += n
+        else:
+            counts[((16 | key & 15) >> (4 - (exponent - 1023) % bits)) - 1] += n
+    return zero, nonfinite
+
+
 def tally(
     values: Iterable[float | str],
     base: int = 10,
@@ -74,40 +143,56 @@ def tally(
     printed one, even for a numeral beyond double range such as 1e400.  A
     string with no nonzero digit there, and any string in another base, is
     converted with float() once and counted by its value, by
-    digits.float_digit_rule as in leading_digit_real.  Integers are read
-    exactly, other values as floats.  Sign is ignored.  Zeros and
-    non-finite values are skipped and tallied as such.  A value that
+    digits.float_digit_rule as in leading_digit_real; so outside base 10 a
+    numeral means its nearest double, and 1e400 is non-finite.  In a
+    power-of-two base (digits.RADIX_BITS) that rule is exact, and a run
+    of str items is converted and counted in C: each double's sign,
+    exponent and top 4 significand bits are counted as one 16-bit key,
+    and each distinct key gives its digit once the stream ends.  Integers
+    are read exactly, other values as floats.  Sign is ignored.  Zeros
+    and non-finite values are skipped and tallied as such.  A value that
     float() rejects, such as the bare string "abc", raises its ValueError
     or TypeError, and whatever the stream raises passes through:
     ingest.read_numerals raises StructuralError for a wrong-shape file
-    once it is exhausted.  Items are consumed one at a time and none is
-    kept.
+    once it is exhausted.  Items are taken _CHUNK_ITEMS (256) at a time,
+    and no more than that are held; the keys counted number at most 2**16
+    whatever the stream's length.
     """
     counts = [0] * (check_base(base) - 1)
     decimal_index = DECIMAL_INDEX.get if base == 10 else None
     float_digit = float_digit_rule(base)
     skipped_zero = 0
     skipped_nonfinite = 0
-    for item in values:
-        if isinstance(item, str):
-            if decimal_index is not None:
-                index = decimal_index(item.lstrip("+-0.")[:1])
-                if index is not None:
-                    counts[index] += 1
-                    continue
-        elif isinstance(item, int) and not isinstance(item, bool):
-            if item == 0:
+    bits = RADIX_BITS.get(base)
+    top_bits = Counter()
+    items = iter(values)
+    while chunk := list(islice(items, _CHUNK_ITEMS)):
+        if bits is not None and _count_top_bits(chunk, top_bits):
+            continue
+        for item in chunk:
+            if isinstance(item, str):
+                if decimal_index is not None:
+                    index = decimal_index(item.lstrip("+-0.")[:1])
+                    if index is not None:
+                        counts[index] += 1
+                        continue
+            elif isinstance(item, int) and not isinstance(item, bool):
+                if item == 0:
+                    skipped_zero += 1
+                else:
+                    counts[leading_digit_int(abs(item), base) - 1] += 1
+                continue
+            numeric = abs(float(item))
+            if not math.isfinite(numeric):
+                skipped_nonfinite += 1
+            elif numeric == 0.0:
                 skipped_zero += 1
             else:
-                counts[leading_digit_int(abs(item), base) - 1] += 1
-            continue
-        numeric = abs(float(item))
-        if not math.isfinite(numeric):
-            skipped_nonfinite += 1
-        elif numeric == 0.0:
-            skipped_zero += 1
-        else:
-            counts[float_digit(numeric) - 1] += 1
+                counts[float_digit(numeric) - 1] += 1
+    if top_bits:
+        zero, nonfinite = _digits_of_top_bits(top_bits, bits, counts)
+        skipped_zero += zero
+        skipped_nonfinite += nonfinite
     return SampleSummary(
         base=base,
         counts=tuple(counts),

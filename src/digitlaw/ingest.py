@@ -22,19 +22,21 @@ The accepted numeral grammar (digits.NUMERAL_RE) is deliberately narrow:
 optional sign, ASCII digits 0-9 with at most one point, optional e/E
 exponent.  No other Unicode digits, no thousands separators, no locale
 decimal commas, no inf/nan words.  Numerals are validated here and nowhere
-else.  plain and spectrum2col read each piece with one findall of a line
-pattern built from that grammar, which takes every line it can (plain only
-up to _PLAIN_LINE_CAP characters); a delimited line, and a line the
-pattern misses, is split into fields and matched field by field, the one
-route that produces diagnostics.  spectrum2col is a minimal stand-in for
-real instrument formats (JCAMP-DX and friends are out of scope) and
-ignores any third or later field.
+else.  plain takes a clean piece, one of only numeral characters, blanks
+and LFs whose every token float() accepts, whole with one split(), and
+otherwise each clean line whole; spectrum2col reads each piece with one
+findall of a line pattern built from that grammar, which takes every line
+it can.  A delimited line, and a line those miss, is split into fields
+and matched field by field, the one route that produces diagnostics.
+spectrum2col is a minimal stand-in for real instrument formats (JCAMP-DX
+and friends are out of scope) and ignores any third or later field.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -90,38 +92,51 @@ class Diagnostic:
 
 
 # A stream is read this many characters at a time, each piece carried on
-# to the end of its last line.  The findall list of a piece grows with it.
-# With pieces of 384 to 1,024 characters the analyze-spectra benchmark's
-# peak RSS rose by about 0.12 MB in some builds of this module and not in
-# others; with 256 it stayed flat in every build measured.
+# to the end of its last line.  The list of tokens or of findall hits made
+# from a piece grows with it.  With pieces of 384 to 1,024 characters the
+# analyze-spectra benchmark's peak RSS rose by about 0.12 MB in some builds
+# of this module and not in others; with 256 it stayed flat in every build
+# measured.
 _PIECE_CHARS = 256
 
-# The plain pattern's repeated group keeps matcher state for every token,
-# about 1 KB each, so a longer line takes split() instead.
-_PLAIN_LINE_CAP = 4096
+# The characters of numerals and of the blanks and line ends between them
+# in a clean plain piece.  Over them float() accepts exactly the strings
+# NUMERAL_RE fullmatches, so a text of only these characters whose
+# blank-separated tokens all convert is a run of numerals.
+_CLEAN_CHARS = "0123456789eE+-. \t\n"
+
+
+def _clean_numerals(text: str) -> list[str] | None:
+    """The blank-separated tokens of text when every one is a numeral.
+
+    None when text has a character outside _CLEAN_CHARS or a token
+    float() rejects.  Both checks run in C: a strip that leaves nothing,
+    and float() over every token.
+    """
+    if text.strip(_CLEAN_CHARS):
+        return None
+    tokens = text.split()
+    try:
+        deque(map(float, tokens), 0)
+    except ValueError:
+        return None
+    return tokens
 
 
 @functools.cache
-def _piece_pattern(format: str) -> re.Pattern[str]:
-    """The line pattern of plain or spectrum2col, compiled on first use.
+def _spectrum_pattern() -> re.Pattern[str]:
+    """The spectrum2col line pattern, compiled on first use.
 
     It matches one LF-terminated line, so findall over a piece of whole
-    lines returns one str per line: group 1 when the line is one the
-    per-field route reads without a diagnostic, and "" when it is not.
-    Group 1 is, for plain, the line's blank-separated numerals; for
-    spectrum2col, its second field.  The only blanks a hit takes are
-    ASCII space and tab (and for spectrum2col, any whitespace but LF
-    after the second field), so a line with other whitespace, a comment
-    or a missing field misses and is left to that route.
+    lines returns one str per line: the line's second field when the line
+    is one the per-field route reads without a diagnostic, and "" when it
+    is not.  The only blanks a hit takes before the second field are
+    ASCII space and tab, and after it any whitespace but LF, so a line
+    with other whitespace, a comment or a missing field misses and is
+    left to that route.
     """
     num = f"(?:{NUMERAL_RE.pattern})"
-    if format == FORMAT_PLAIN:
-        hit = (
-            rf"(?=[^\n]{{0,{_PLAIN_LINE_CAP}}}\n)"
-            rf"[ \t]*({num}(?:[ \t]+{num})*)[ \t]*"
-        )
-    else:
-        hit = rf"[ \t]*[^\s,#][^\s,]*[ \t,]+({num})(?:(?:[^\S\n]|,)[^\n]*)?"
+    hit = rf"[ \t]*[^\s,#][^\s,]*[ \t,]+({num})(?:(?:[^\S\n]|,)[^\n]*)?"
     return re.compile(rf"(?:{hit}|[^\n]*)\n")
 
 
@@ -171,47 +186,76 @@ def _pieces(stream: str | Iterable[str], drop_bom: bool) -> Iterator[str]:
         yield from pieces
 
 
-def _read_matched(
-    format: str, pieces: Iterator[str], diagnostics: list[Diagnostic]
+def _field_numerals(
+    plain: bool, line_no: int, raw: str, diagnostics: list[Diagnostic]
 ) -> Iterator[str]:
-    """read_numerals for plain and spectrum2col: one findall per piece."""
-    match_lines = _piece_pattern(format).findall
-    plain = format == FORMAT_PLAIN
-    next_line = 1
+    """The per-field route for one plain or spectrum2col line.
+
+    Each field is matched on its own, and each malformed or missing one
+    appends a Diagnostic; blank and comment lines yield nothing.
+    """
+    stripped = raw.strip()
+    if not stripped or stripped.startswith(COMMENT_PREFIX):
+        return
+    if plain:
+        tokens = stripped.split()
+    else:
+        fields = stripped.replace(",", " ").split()
+        if len(fields) < 2:
+            diagnostics.append(Diagnostic(line_no, "expected two fields, got one"))
+            return
+        tokens = [fields[1]]
+    for token in tokens:
+        if NUMERAL_RE.fullmatch(token):
+            yield token
+        else:
+            diagnostics.append(Diagnostic(line_no, f"not a numeral: {token!r}"))
+
+
+def _lines(piece: str) -> list[str]:
+    """The lines of a piece, without their LFs; an unterminated last line
+    is a line, so an empty piece is one empty line."""
+    lines = piece.split("\n")
+    if piece.endswith("\n"):
+        lines.pop()
+    return lines
+
+
+def _read_plain(pieces: Iterator[str], diagnostics: list[Diagnostic]) -> Iterator[str]:
+    """read_numerals for plain: a clean piece whole, else line by line."""
+    line_no = 0
+    for piece in pieces:
+        tokens = _clean_numerals(piece)
+        if tokens is not None:
+            line_no += piece.count("\n") + (not piece.endswith("\n"))
+            yield from tokens
+            continue
+        for line_no, raw in enumerate(_lines(piece), line_no + 1):
+            tokens = _clean_numerals(raw)
+            if tokens is None:
+                yield from _field_numerals(True, line_no, raw, diagnostics)
+            else:
+                yield from tokens
+
+
+def _read_spectrum(pieces: Iterator[str], diagnostics: list[Diagnostic]) -> Iterator[str]:
+    """read_numerals for spectrum2col: one findall per piece."""
+    match_lines = _spectrum_pattern().findall
+    line_no = 0
     for piece in pieces:
         hits = match_lines(piece, 0, piece.rfind("\n") + 1)
         if not piece.endswith("\n"):
             hits.append("")  # an unterminated last line takes the per-field route
-        first_line, next_line = next_line, next_line + len(hits)
         if "" not in hits:
-            # every line a hit: a plain piece is blank-separated numerals
-            yield from piece.split() if plain else hits
+            line_no += len(hits)
+            yield from hits
             continue
         # a miss: each hit as it is, each missed line field by field
-        lines = zip(hits, piece.split("\n"))
-        for line_no, (hit, raw) in enumerate(lines, first_line):
+        for line_no, (hit, raw) in enumerate(zip(hits, piece.split("\n")), line_no + 1):
             if hit:
-                if plain:
-                    yield from hit.split()
-                else:
-                    yield hit
-                continue
-            stripped = raw.strip()
-            if not stripped or stripped.startswith(COMMENT_PREFIX):
-                continue
-            if plain:
-                tokens = stripped.split()
+                yield hit
             else:
-                fields = stripped.replace(",", " ").split()
-                if len(fields) < 2:
-                    diagnostics.append(Diagnostic(line_no, "expected two fields, got one"))
-                    continue
-                tokens = [fields[1]]
-            for token in tokens:
-                if NUMERAL_RE.fullmatch(token):
-                    yield token
-                else:
-                    diagnostics.append(Diagnostic(line_no, f"not a numeral: {token!r}"))
+                yield from _field_numerals(False, line_no, raw, diagnostics)
 
 
 def _read_delimited(
@@ -222,10 +266,7 @@ def _read_delimited(
     data_lines = column_hits = 0
     line_no = 0
     for piece in pieces:
-        lines = piece.split("\n")
-        if piece.endswith("\n"):
-            lines.pop()
-        for line_no, raw in enumerate(lines, line_no + 1):
+        for line_no, raw in enumerate(_lines(piece), line_no + 1):
             stripped = raw.strip()
             if not stripped or stripped.startswith(COMMENT_PREFIX):
                 continue
@@ -280,11 +321,15 @@ def read_numerals(
     keeps it.  Lines whose first non-blank characters are
     COMMENT_PREFIX are skipped outright.
 
-    For plain and spectrum2col, one findall of the format's pattern per
-    piece reads every line it can (plain only up to _PLAIN_LINE_CAP
-    characters).  Every other line, and every delimited line, is split
-    into fields, each matched on its own.  Every malformed or missing
-    field appends one Diagnostic to the caller's list instead of raising.
+    For plain, a piece of only numeral characters, ASCII blanks and LFs
+    (_CLEAN_CHARS) is split once, and its tokens are checked by float()
+    in C: over those characters float() accepts exactly NUMERAL_RE's
+    numerals.  A piece that fails is taken line by line under the same
+    check.  For spectrum2col, one findall of the format's pattern per
+    piece reads every line it can.  Every other line, and every
+    delimited line, is split into fields, each matched on its own.
+    Every malformed or missing field appends one Diagnostic to the
+    caller's list instead of raising.
     A delimited stream whose requested column is absent from every data
     line raises StructuralError once the stream is exhausted, since that
     is a wrong-shape file rather than scattered bad fields.
@@ -292,4 +337,6 @@ def read_numerals(
     pieces = _pieces(stream, drop_bom)
     if spec.format == FORMAT_DELIMITED:
         return _read_delimited(spec, pieces, diagnostics)
-    return _read_matched(spec.format, pieces, diagnostics)
+    if spec.format == FORMAT_SPECTRUM2COL:
+        return _read_spectrum(pieces, diagnostics)
+    return _read_plain(pieces, diagnostics)

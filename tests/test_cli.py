@@ -1451,7 +1451,9 @@ def test_a_closed_pipe_on_stdout_leaves_no_descriptor_open(monkeypatch):
 PACKAGE_IMPORTS = {
     "__future__",
     "argparse",
+    "array",
     "atexit",
+    "collections",
     "contextlib",
     "dataclasses",
     "fractions",
@@ -1470,6 +1472,7 @@ PACKAGE_IMPORTS = {
 }
 
 
+# array is loaded only where a power-of-two radix is counted in C.
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -1478,8 +1481,9 @@ PACKAGE_IMPORTS = {
         (["bounds", "--dist", "geom"], []),
         (["sweep", "--digit", "1", "--m-max", "5000"], ["digitlaw.sweep"]),
         (["analyze", "--input", "a.txt", "--input", "b.txt"], ["digitlaw.parallel"]),
+        (["analyze", "--base", "16", "--input", "a.txt"], ["digitlaw.parallel", "array"]),
     ],
-    ids=["help", "theory", "bounds", "sweep", "analyze"],
+    ids=["help", "theory", "bounds", "sweep", "analyze", "analyze-base-16"],
 )
 def test_a_command_loads_no_other_command_s_module(argv, loaded, tmp_path):
     for name in ("a.txt", "b.txt"):
@@ -1487,8 +1491,8 @@ def test_a_command_loads_no_other_command_s_module(argv, loaded, tmp_path):
     argv = [str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in argv]
     script = (
         "import sys; from digitlaw.cli import main; main(sys.argv[1:]); "
-        "print([m for m in ('digitlaw.parallel', 'digitlaw.sweep') if m in sys.modules], "
-        "file=sys.stderr)"
+        "print([m for m in ('digitlaw.parallel', 'digitlaw.sweep', 'array') "
+        "if m in sys.modules], file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True

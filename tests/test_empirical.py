@@ -271,12 +271,28 @@ def test_tally_in_other_bases():
     assert binary.counts == (100,)
 
 
+def exact_digit(x: float, radix: int) -> int:
+    """The leading digit of the exact value of x, from Fraction."""
+    value = abs(Fraction(x))
+    whole = value.numerator // value.denominator
+    if whole:
+        while whole >= radix:
+            whole //= radix
+        return whole
+    while value < 1:
+        value *= radix
+    return int(value)
+
+
 def float_rule_digit(x: float, radix: int) -> int:
     """The float leading-digit rule, written out here as the oracle.
 
-    Scale |x| into [1, radix) by repeated multiplication or division by
-    the radix; a result within 4 ulps under the radix carries to digit 1.
+    In a power-of-two radix, the exact digit.  In any other, scale |x|
+    into [1, radix) by repeated multiplication or division by the radix;
+    a result within 4 ulps under the radix carries to digit 1.
     """
+    if radix & (radix - 1) == 0:
+        return exact_digit(x, radix)
     s, n = abs(x), float(radix)
     while s < 1.0:
         s *= n
@@ -314,3 +330,103 @@ def test_float_route_of_tally_and_extractor_follow_the_float_rule(case):
     assert tally([x], radix).counts == one_hot
     if radix != 10:  # base 10 reads a string's printed digit instead
         assert tally([repr(x)], radix).counts == one_hot
+
+
+POWER_OF_TWO_RADICES = (2, 4, 8, 16, 32)
+
+# Doubles where a scaling rule goes wrong in a power-of-two radix: just
+# under a power of 16, the two smallest subnormals and the largest one.
+EDGE_DOUBLES = [math.nextafter(16.0**k, 0) for k in range(-20, 20)] + [
+    5e-324,
+    1e-323,
+    2.2250738585072009e-308,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+]
+
+
+def one_hot(digit: int, radix: int) -> tuple[int, ...]:
+    return tuple(int(n == digit) for n in range(1, radix))
+
+
+@pytest.mark.parametrize("radix", POWER_OF_TWO_RADICES)
+def test_power_of_two_radices_read_the_exact_digit_at_their_edges(radix):
+    for x in EDGE_DOUBLES:
+        expected = exact_digit(x, radix)
+        assert leading_digit_real(x, radix) == expected
+        assert leading_digit_real(-x, radix) == expected
+        assert tally([x], radix).counts == one_hot(expected, radix)
+        assert tally([repr(-x)], radix).counts == one_hot(expected, radix)
+    # all at once, in chunks of str that hold subnormals and of floats
+    expected = [0] * (radix - 1)
+    for x in EDGE_DOUBLES:
+        expected[exact_digit(x, radix) - 1] += 1
+    for values in (EDGE_DOUBLES, [repr(x) for x in EDGE_DOUBLES]):
+        assert tally(values * 7, radix).counts == tuple(7 * c for c in expected)
+
+
+def test_nextafter_sixteen_leads_with_fifteen():
+    x = math.nextafter(16.0, 0)  # 0xF.FFFFFFFFFFFF8
+    assert leading_digit_real(x, 16) == 15
+    assert tally([repr(x)], 16).counts[14] == 1
+
+
+@pytest.mark.parametrize("radix", POWER_OF_TWO_RADICES)
+def test_power_of_two_radices_skip_zeros_and_values_out_of_range(radix):
+    summary = tally(["-0.0", "1e400", "1e-400", "-1e400", "0e5", "inf", "-nan"], radix)
+    assert (summary.used, summary.skipped_zero, summary.skipped_nonfinite) == (0, 3, 4)
+    summary = tally([-0.0, 0.0, math.inf, -math.inf, math.nan], radix)
+    assert (summary.used, summary.skipped_zero, summary.skipped_nonfinite) == (0, 2, 3)
+
+
+@given(
+    st.sampled_from(POWER_OF_TWO_RADICES),
+    st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+)
+def test_power_of_two_radices_follow_the_exact_digit(radix, x):
+    expected = one_hot(exact_digit(x, radix), radix)
+    assert leading_digit_real(x, radix) == exact_digit(x, radix)
+    assert tally([x], radix).counts == expected
+    assert tally([repr(x)], radix).counts == expected
+
+
+def _exact_counts(tokens, radix):
+    counts = [0] * (radix - 1)
+    for token in tokens:
+        if float(token):
+            counts[exact_digit(float(token), radix) - 1] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("radix", [16, 32])
+@pytest.mark.parametrize("size", [255, 256, 257, 513])
+def test_tally_counts_str_chunks_of_any_length(radix, size):
+    rng = random.Random(size * radix)
+    tokens = [f"{rng.lognormvariate(0, 30):.6g}" for _ in range(size)]
+    tokens[size // 2] = "0"
+    summary = tally(tokens, radix)
+    assert summary.counts == _exact_counts(tokens, radix)
+    assert (summary.skipped_zero, summary.skipped_nonfinite) == (1, 0)
+    assert summary.total_read == size
+
+
+def test_tally_reads_ints_exactly_in_a_chunk_of_str():
+    # 2**60 - 1 is 0xFFFFFFFFFFFFFFF, though float() rounds it to 2**60,
+    # and 16**300 is past double range
+    tokens = ["1.5", "3e3"] * 200
+    values = tokens[:100] + [2**60 - 1, 0.75, True, 16**300] + tokens[100:]
+    expected = list(_exact_counts(tokens, 16))
+    for digit in (15, 12, 1, 1):  # 0.75 is 0x0.C, and True counts as 1.0
+        expected[digit - 1] += 1
+    assert tally(values, 16).counts == tuple(expected)
+
+
+@pytest.mark.parametrize("at", [0, 255, 256, 300])
+def test_a_junk_string_raises_what_float_raises(at):
+    tokens = ["1.5"] * 400
+    tokens[at] = "abc"
+    with pytest.raises(ValueError) as expected:
+        float("abc")
+    with pytest.raises(ValueError) as raised:
+        tally(tokens, 16)
+    assert str(raised.value) == str(expected.value)

@@ -1,6 +1,7 @@
 """Dataset parsing: formats, diagnostics, and refusal to crash."""
 
 import io
+import itertools
 import math
 import random
 import time
@@ -214,6 +215,16 @@ def test_stream_and_string_inputs_agree():
 
 
 @pytest.mark.parametrize(
+    "spec, tokens",
+    [(InputSpec(), ["1", "2", "3", "4", "5"]), (InputSpec(format="spectrum2col"), ["2", "4"])],
+)
+def test_each_item_of_an_iterable_is_a_line_even_without_an_lf(spec, tokens):
+    diagnostics = []
+    assert list(read_numerals(spec, ["1 2", "", "3 4", "5 x\n"], diagnostics)) == tokens
+    assert [(d.line, d.message) for d in diagnostics] == [(4, "not a numeral: 'x'")]
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         InputSpec(),
@@ -335,6 +346,12 @@ def test_structural_error_arrives_once_the_stream_is_exhausted():
     numerals = read_numerals(spec, "1,2\n3,4\n", [])
     with pytest.raises(StructuralError):
         tally(numerals)
+    # after more lines than tally takes at a time, in a base counted in C too
+    for base in (10, 16):
+        diagnostics = []
+        with pytest.raises(StructuralError):
+            tally(read_numerals(spec, "1,2\n" * 600, diagnostics), base)
+        assert len(diagnostics) == 600
 
 
 def test_a_byte_order_mark_is_dropped_once():
@@ -353,20 +370,24 @@ def test_a_byte_order_mark_is_dropped_once():
 def test_tally_over_a_stream_holds_no_per_value_memory():
     rng = random.Random(703)
     text = "".join(f"{rng.lognormvariate(0, 3):.6g}\n" for _ in range(50_000))
-    stream = io.StringIO(text)
-    tracemalloc.start()
-    try:
-        summary = tally(read_numerals(InputSpec(), stream, []))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert summary.total_read == 50_000
-    assert peak < 1_000_000
+    tally(["1"], 16)  # load the modules of the base-16 route first
+    # base 16 counts one key per distinct sign, exponent and top 4 bits
+    for base in (10, 16):
+        stream = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            summary = tally(read_numerals(InputSpec(), stream, []), base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.total_read == 50_000
+        assert peak < 1_000_000
 
 
 def test_a_long_plain_line_holds_no_per_token_matcher_state():
-    # the plain line pattern keeps matcher state for every token it
-    # repeats over, about 1 KB each; a line past the cap takes split()
+    # a clean line is split once and its tokens checked by float(), so it
+    # holds one str per token; a line pattern repeated over its tokens
+    # would keep matcher state for every one, about 1 KB each
     rng = random.Random(704)
     line = " ".join(f"{rng.lognormvariate(0, 3):.6g}" for _ in range(50_000))
     tracemalloc.start()
@@ -458,8 +479,10 @@ def test_a_long_junk_token_is_rejected_in_linear_time():
     ],
 )
 def test_a_line_of_long_numerals_ending_in_junk_is_read_in_linear_time(spec):
-    # a numeral grammar that could split a digit run would make the plain
-    # line pattern try every split of every numeral before giving up
+    # the junk fails each line's float() check, so every field is matched
+    # on its own; a numeral grammar that could split a digit run would make
+    # those matches, and the spectrum2col line pattern, try every split of
+    # a numeral before giving up
     line = "1234567890 " * 40 + "x\n"
     diagnostics = []
     started = time.perf_counter()
@@ -707,3 +730,17 @@ def test_line_numbers_carry_across_pieces():
         assert [(d.line, d.message) for d in diagnostics] == [
             (line_no, "not a numeral: 'junk'") for line_no in (1, 1_000, 19_999)
         ]
+
+
+def test_the_float_check_accepts_exactly_the_numeral_grammar():
+    # every string of 1 to 7 characters over an alphabet of each character
+    # class the grammar has: 960,799 strings
+    check = ingest._clean_numerals
+    fullmatch = NUMERAL_RE.fullmatch
+    strings = 0
+    for size in range(1, 8):
+        for chars in itertools.product("07.eE+-", repeat=size):
+            text = "".join(chars)
+            assert (check(text) == [text]) == bool(fullmatch(text)), text
+            strings += 1
+    assert strings == 960_799
