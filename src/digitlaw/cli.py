@@ -38,7 +38,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
@@ -56,6 +55,7 @@ from .lawtheory import (
     bounds_check,
     geometric_mean_distribution,
 )
+from .text import SIG4_CELL, fraction_cell, fraction_doc, table
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -70,7 +70,6 @@ _LAWS: dict[str, Callable[[int], DigitDistribution]] = {
 
 _STDIN_LABEL = "<stdin>"
 _BASE_RANGE = f"{MIN_BASE}..{MAX_BASE}"
-SIGKILL = 9  # signal.SIGKILL on every POSIX system: no handler of the caller runs in the child
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,8 @@ def run() -> NoReturn:
     fails, or main() raises, the interpreter exits as usual and reports it.
     """
     gc.freeze()
+    if sys.stdout is not None:  # a character its encoding lacks prints escaped, as on stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
     code = main()
     atexit._run_exitfuncs()
     try:
@@ -284,21 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------- report fields and handlers
 
-# A table cell's %-conversion, with {} where its width flag goes.
-_TEXT_CELL = "%{}s"
-_SIG4_CELL = "%#{}.4g"
-_sig4 = _SIG4_CELL.format("").__mod__
-
 # The columns of a table of docs: (header, doc key, width[, conversion]).
 # Each doc holds the keys its table prints, read from the record's
 # attributes of the same names, as _SAMPLE_KEYS and _LAW_KEYS are.
 _CANDIDATE_COLUMNS = (
-    ("label", "label", 10), ("r", "r", 12, _SIG4_CELL),
-    ("chi_square", "chi_square", 14, _SIG4_CELL), ("dof", "chi_square_dof", 6),
-    ("mad", "mad", 12, _SIG4_CELL), ("max_abs_dev", "max_abs_dev", 0, _SIG4_CELL),
+    ("label", "label", 10), ("r", "r", 12, SIG4_CELL),
+    ("chi_square", "chi_square", 14, SIG4_CELL), ("dof", "chi_square_dof", 6),
+    ("mad", "mad", 12, SIG4_CELL), ("max_abs_dev", "max_abs_dev", 0, SIG4_CELL),
 )
 _BOUNDS_COLUMNS = (
-    ("n", "digit", 4), ("lower", "lower", 18), ("p", "probability", 12, _SIG4_CELL),
+    ("n", "digit", 4), ("lower", "lower", 18), ("p", "probability", 12, SIG4_CELL),
     ("upper", "upper", 18), ("within", "within", 0),
 )
 _CANDIDATE_KEYS = tuple(column[1] for column in _CANDIDATE_COLUMNS)
@@ -307,17 +303,13 @@ _SAMPLE_KEYS = ("source", "counts", "total_read", "used", "skipped_zero", "skipp
 _LAW_KEYS = ("label", "probabilities")
 
 
-def _fraction_doc(fr: Fraction) -> dict:
-    return {"num": fr.numerator, "den": fr.denominator}
-
-
 def _doc(record, keys: Iterable[str]) -> dict:
     """The record's attributes named by keys: a Fraction as num/den, a tuple as a list."""
     doc = {}
     for key in keys:
         value = getattr(record, key)
         if isinstance(value, Fraction):
-            value = _fraction_doc(value)
+            value = fraction_doc(value)
         elif isinstance(value, tuple):
             value = list(value)
         doc[key] = value
@@ -346,70 +338,6 @@ def _render_sweep(report: dict) -> Iterator[str]:
     from .sweep import render_table
 
     return render_table(report)
-
-
-def fork_cpus() -> int:
-    """How many processes a command may run in: its usable CPUs, or 1 where it may not fork.
-
-    The usable CPUs are the process's CPU affinity (os.cpu_count() where
-    there is none).  It may not fork without os.memfd_create, which
-    in_children needs (every system that has it has os.fork), nor while
-    another thread runs: a lock that thread holds would stay held in the child.
-    """
-    if not hasattr(os, "memfd_create") or len(sys._current_frames()) > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def in_children(jobs: list, write: Callable) -> Iterator:
-    """For each job in order, None or the binary file its forked child wrote, at offset 0.
-
-    Each job but the first gets a child that runs write(job, file) on an
-    anonymous memory file and exits 0 only once that returns.  On None the
-    caller does the job itself: the first job, and one whose child got no
-    memory file or process or did not exit 0.  A file is closed when the
-    next job is asked for.  Closing this generator kills and reaps every
-    child still running, without waiting for its work.
-    """
-    children: list = [None]  # (pid, fd) of each job's child until it is reaped, or None
-    try:
-        for job in jobs[1:]:
-            fd = None
-            try:
-                fd = os.memfd_create("digitlaw")
-                pid = os.fork()
-            except OSError:  # no memory file, or no process: the job is done here
-                if fd is not None:
-                    os.close(fd)
-                children.append(None)
-                continue
-            if pid == 0:  # never returns; exits 0 only once the whole file is written
-                code = 1
-                try:
-                    with open(fd, "wb") as file:
-                        write(job, file)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append((pid, fd))
-        for i in range(len(jobs)):
-            if children[i] is None:
-                yield None
-                continue
-            pid, fd = children[i]
-            status = os.waitpid(pid, 0)[1]
-            children[i] = None
-            with open(fd, "rb") as file:
-                file.seek(0)  # the child's writes moved the offset it shares with this process
-                yield None if status else file
-    finally:
-        for pid, fd in filter(None, children):
-            os.kill(pid, SIGKILL)
-            os.close(fd)
-        for pid, _ in filter(None, children):
-            os.waitpid(pid, 0)
 
 
 def _parse_candidates(text: str) -> list[str]:
@@ -511,7 +439,7 @@ def _handle_analyze(args, report: dict) -> int:
         "sample": _doc(fit.sample, _SAMPLE_KEYS),
         "empirical": {
             "probabilities": list(fit.empirical.probabilities),
-            "fractions": [_fraction_doc(fr) for fr in empirical_fractions(fit.sample)],
+            "fractions": [fraction_doc(fr) for fr in empirical_fractions(fit.sample)],
         },
         "candidates": [_doc(entry, _CANDIDATE_KEYS) for entry in fit.entries],
         "best_by_r": fit.best_by_r,
@@ -557,11 +485,6 @@ def _emit(chunks: Iterator[str], out_path: str | None) -> None:
                 handle.writelines(chunks)
 
 
-# Lines per written piece, each line a table row or a JSON point (about 6
-# or 21 KB a piece).  At 1024 lines sweep-json's peak RSS read about 16.6 MB
-# against 15.75 MB at 128, and no run was faster.
-_LINES_PER_WRITE = 128
-
 def _render_json(report: dict) -> Iterator[str]:
     """json.dumps(report, indent=2, sort_keys=True) + "\n", in pieces."""
     if report["command"] == "sweep":  # its points are made segment by segment
@@ -573,57 +496,31 @@ def _render_json(report: dict) -> Iterator[str]:
     yield "\n"
 
 
-def _table(
-    indent: str, columns: Sequence[tuple], rows: Iterable[tuple], head: bool = True
-) -> Iterator[str]:
-    """A header line (unless head is false) plus one line per row, each cell left-aligned.
-
-    columns holds (header, width) pairs, or (header, width, conversion)
-    for a cell not printed by _TEXT_CELL.  Every column but the last is
-    padded to its width; the last is not, so no line ends in blanks.
-    Each row is one % operation, and the lines come _LINES_PER_WRITE to
-    a newline-terminated piece.
-    """
-    pads = [f"-{column[1]}" for column in columns[:-1]] + [""]
-    conversions = [column[2] if len(column) > 2 else _TEXT_CELL for column in columns]
-    header = indent + "".join(_TEXT_CELL.format(pad) for pad in pads) + "\n"
-    fmt = indent + "".join(map(str.format, conversions, pads)) + "\n"
-    if head:
-        yield header % tuple(column[0] for column in columns)
-    lines = map(fmt.__mod__, rows)
-    while piece := "".join(islice(lines, _LINES_PER_WRITE)):
-        yield piece
-
-
 def _render_theory(report: dict) -> Iterator[str]:
     laws = report["result"]["laws"]
-    columns = [("n", 4)] + [(law["label"], 12, _SIG4_CELL) for law in laws]
+    columns = [("n", 4)] + [(law["label"], 12, SIG4_CELL) for law in laws]
     rows = (
         (n, *(law["probabilities"][n - 1] for law in laws))
         for n in report["result"]["digits"]
     )
     yield f"first-digit laws, base {report['base']}\n"
-    yield from _table("", columns, rows)
-
-
-def _fraction_cell(fr: dict) -> str:
-    return f"{fr['num']}/{fr['den']} = {_sig4(fr['num'] / fr['den'])}"
+    yield from table("", columns, rows)
 
 
 def _cell(value):
     """A doc value as a table prints it: num/den with its value, a bool as yes or NO."""
     if isinstance(value, dict):
-        return _fraction_cell(value)
+        return fraction_cell(value)
     if isinstance(value, bool):
         return "yes" if value else "NO"
     return value
 
 
 def _doc_table(columns: Sequence[tuple], docs: Iterable[dict]) -> Iterator[str]:
-    """A two-space-indented _table of (header, key, width[, conversion]) columns."""
+    """A two-space-indented text.table of (header, key, width[, conversion]) columns."""
     keys = [column[1] for column in columns]
     rows = (tuple(_cell(doc[key]) for key in keys) for doc in docs)
-    return _table("  ", [(column[0], *column[2:]) for column in columns], rows)
+    return table("  ", [(column[0], *column[2:]) for column in columns], rows)
 
 
 def _render_bounds_block(doc: dict) -> Iterator[str]:
@@ -646,8 +543,8 @@ def _render_analyze(report: dict) -> Iterator[str]:
         "zero and {skipped_nonfinite} non-finite\n"
     ).format_map(sample)
     yield "empirical first-digit frequencies:\n"
-    digit_columns = [("n", 4), ("count", 10), ("exact", 16), ("p", 0, _SIG4_CELL)]
-    yield from _table("  ", digit_columns, digit_rows)
+    digit_columns = [("n", 4), ("count", 10), ("exact", 16), ("p", 0, SIG4_CELL)]
+    yield from table("  ", digit_columns, digit_rows)
     yield "candidates:\n"
     yield from _doc_table(_CANDIDATE_COLUMNS, result["candidates"])
     yield f"best by r: {result['best_by_r']}\n"

@@ -12,17 +12,16 @@ are counted in small blocks (lines_before), so that its diagnostics carry
 the file's line numbers.  A delimited file is never cut: a column missing
 from every data line is a fault of the whole file.
 
-read_in_shares reads each share but the first in a forked child, through
-cli.in_children.  A fork, a short reply through a memory file and a
-waitpid took about 1.1 ms in a process that had imported the CLI (medians
-of 50, CPython 3.11 on 2 shared CPUs).  A child writes its share's sample
-and diagnostics to its memory file as marshal records, which the parent,
-the same interpreter, reads one at a time.  Every share is read in this
-process unless its child exits 0 after writing its whole reply, so a share
-that got no child or whose child failed fails as a read in one process
-does.  Digit counts add exactly (empirical.merge), so the shares merged in
-input order give what a read in one process gives.  Standard input is
-read in one process and never comes here.
+read_in_shares reads each share but the first in a forked child, by the
+routine of children.py.  A fork, a short reply through a memory file and
+a waitpid took about 1.1 ms in a process that had imported the CLI
+(medians of 50, CPython 3.11 on 2 shared CPUs).  A child writes its
+share's sample and diagnostics to its memory file as marshal records,
+which the parent, the same interpreter, reads one at a time.  A share
+whose child gives no reply is read in this process, so it fails as a
+read in one process does.  Digit counts add exactly (empirical.merge), so
+the shares merged in input order give what a read in one process gives.
+Standard input is read in one process and never comes here.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import os
 import sys
 from typing import Callable
 
-from .cli import fork_cpus, in_children
+from .children import fork_cpus, in_children
 from .empirical import SampleSummary, merge
 
 # A reply is marshal records: (counts, skipped_zero, skipped_nonfinite, source)
@@ -58,7 +57,7 @@ def plan(inputs: list[str], *, split_files: bool = True) -> list[list[tuple]]:
     counts as a line start, so no file is cut.  A window's stop is None
     when it runs to the end of its file.  One share of whole files, read in
     this process, unless every input is a regular file or absent (its read
-    then fails in any process alike) and cli.fork_cpus gives two or more.
+    then fails in any process alike) and children.fork_cpus gives two or more.
     """
     whole = [[(label, 0, None) for label in inputs]]
     cpus = fork_cpus()
@@ -204,7 +203,7 @@ def read_in_shares(
     """The inputs tallied into one sample, share by share in input order.
 
     The shares are plan(inputs, split_files=split_files).  A share is read
-    here by read_share(share, diagnostics) unless cli.in_children gives its
+    here by read_share(share, diagnostics) unless in_children gives its
     child's reply: the first share, one with no child, one whose child failed.
     """
     shares = plan(inputs, split_files=split_files)

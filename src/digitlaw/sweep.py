@@ -9,12 +9,11 @@ points m = lo..hi of series i, and either renderer renders any segment
 byte for byte as a whole run would: a series' heading goes with its point
 m = 1 and its closing text with its point m_max.
 
-The segments are rendered in rounds of at most one per usable CPU
-(cli.fork_cpus), each round by cli.in_children: a forked child renders
-each segment but the first into a memory file while this process writes
-the first to the output, then copies each child's file in order,
-_COPY_BYTES at a time, or renders the segment itself where in_children
-gives no file.  So the output is the same bytes in every case.
+The segments are rendered in rounds of at most one per usable CPU, each
+round by the routine of children.py: a forked child renders each segment
+but the first into a memory file while this process writes the first to
+the output, then copies each child's file in order, _COPY_BYTES at a
+time, or renders the segment itself where the routine gives no file.
 
 A segment holds at most _MAX_POINTS points, so the text that waits in
 memory files at once is bounded whatever m_max is, and unless the sweep
@@ -30,19 +29,11 @@ import os
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .cli import (
-    EXIT_OK,
-    _LINES_PER_WRITE,
-    _SIG4_CELL,
-    _fraction_cell,
-    _fraction_doc,
-    _table,
-    fork_cpus,
-    in_children,
-)
+from .children import fork_cpus, in_children
 from .digits import check_digit
 from .errors import CapacityError, DomainError, UsageError
 from .lawtheory import KIND_MIN, extrema_within, frequency_series
+from .text import LINES_PER_WRITE, SIG4_CELL, fraction_cell, fraction_doc, table
 
 # The fewest points a segment must have to get a process of its own.  Timed
 # in process on 2 CPUs (medians of 41, CPython 3.11), one CPU against two: a
@@ -71,7 +62,7 @@ _JSON_POINT = (
     "\n          }"
 )
 _EMPTY_POINTS = '"points": []'
-_COLUMNS = [("m", 10), ("count", 10), ("exact", 16), ("value", 0, _SIG4_CELL)]
+_COLUMNS = [("m", 10), ("count", 10), ("exact", 16), ("value", 0, SIG4_CELL)]
 
 
 def handle(args, report: dict) -> int:
@@ -98,14 +89,14 @@ def handle(args, report: dict) -> int:
         "m_max": args.m_max,
         "series": [_series(n, args.m_max, args.base) for n in digits],
     }
-    return EXIT_OK
+    return 0
 
 
 def _series(n: int, m_max: int, radix: int) -> dict:
     minima, maxima = [], []
     for e in extrema_within(n, m_max, radix):
         value = e.value
-        doc = {"k": e.k, "m": e.location_m, "value": float(value), **_fraction_doc(value)}
+        doc = {"k": e.k, "m": e.location_m, "value": float(value), **fraction_doc(value)}
         (minima if e.kind == KIND_MIN else maxima).append(doc)
     points = frequency_series(n, m_max, radix)
     return {"digit": n, "points": points, "minima": minima, "maxima": maxima}
@@ -130,7 +121,7 @@ def render_table(report: dict) -> Iterator[str]:
                 (m, count, f"{num}/{den}", value)
                 for m, count, num, den, value in frequency_series(n, hi, base, lo)
             )
-            yield from _table("  ", _COLUMNS, rows, head=lo == 1)
+            yield from table("  ", _COLUMNS, rows, head=lo == 1)
             if hi == m_max:
                 yield from _extrema_lines(series[i])
 
@@ -143,7 +134,7 @@ def _extrema_lines(series: dict) -> Iterator[str]:
         if not series[kind]:
             yield "    (none in range)\n"
         for e in series[kind]:
-            yield f"    k={e['k']}  m={e['m']}  {_fraction_cell(e)}\n"
+            yield f"    k={e['k']}  m={e['m']}  {fraction_cell(e)}\n"
 
 
 def render_json(report: dict) -> Iterator[str]:
@@ -179,7 +170,7 @@ def render_json(report: dict) -> Iterator[str]:
 def _json_points(
     points: Iterable[tuple], first: bool = True, last: bool = True
 ) -> Iterator[str]:
-    """Points of a series in the encoder's layout, _LINES_PER_WRITE a piece.
+    """Points of a series in the encoder's layout, LINES_PER_WRITE a piece.
 
     With first they start the series' `"points": [` member, with last they
     end it, so a whole series, both true, is the member itself.
@@ -188,9 +179,9 @@ def _json_points(
         _JSON_POINT % (count, den, m, num, value)
         for m, count, num, den, value in points
     )
-    head = "".join(islice(lines, _LINES_PER_WRITE))
+    head = "".join(islice(lines, LINES_PER_WRITE))
     yield '"points": [' + head[1:] if first else head  # the first point has no comma before it
-    while piece := "".join(islice(lines, _LINES_PER_WRITE)):
+    while piece := "".join(islice(lines, LINES_PER_WRITE)):
         yield piece
     if last:
         yield "\n        ]" if head else "]"

@@ -25,8 +25,6 @@ from digitlaw.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
-    _SIG4_CELL,
-    _table,
     execute,
     main,
 )
@@ -38,6 +36,7 @@ from digitlaw.lawtheory import (
 )
 from digitlaw.parallel import plan
 from digitlaw.sweep import _json_points
+from digitlaw.text import SIG4_CELL, table
 
 
 def run_json(argv, capsys):
@@ -318,12 +317,12 @@ def reference_table(indent, columns, rows):
 @pytest.mark.parametrize("n_rows", [0, 1, 127, 128, 129, 257])
 def test_table_pieces_match_line_at_a_time_rendering(n_rows):
     columns = [
-        ("n", 6), ("ratio", 12, _SIG4_CELL), ("exact", 10), ("scaled", 0, _SIG4_CELL)
+        ("n", 6), ("ratio", 12, SIG4_CELL), ("exact", 10), ("scaled", 0, SIG4_CELL)
     ]
     specials = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1.7976931348623157e308]
     scaled = specials + [-(10.0 ** (i % 60 - 30)) for i in range(len(specials), n_rows)]
     rows = [(i, i / 7, f"{i}/7", scaled[i]) for i in range(n_rows)]
-    pieces = list(_table("  ", columns, iter(rows)))
+    pieces = list(table("  ", columns, iter(rows)))
     expected = "".join(line + "\n" for line in reference_table("  ", columns, rows))
     assert "".join(pieces) == expected
     assert all(piece.endswith("\n") for piece in pieces)
@@ -550,6 +549,21 @@ def test_stdin_bytes_are_decoded_as_file_bytes_are():
     )
     assert (done.returncode, done.stderr) == (EXIT_OK, b"")
     assert "not a numeral: '\ufffd'" in done.stdout.decode("utf-8")
+
+
+def test_table_output_escapes_what_stdout_cannot_encode(tmp_path):
+    # a label and a token that ASCII lacks print as backslash escapes, not a traceback
+    path = tmp_path / "\u00e4.txt"
+    path.write_text("x\u4e00 12\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "digitlaw", "analyze", "--input", str(path)]
+    outputs = {}
+    for encoding in ("ascii", "utf-8"):
+        env = dict(os.environ, PYTHONIOENCODING=encoding)
+        done = subprocess.run(argv, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        outputs[encoding] = done.stdout
+    assert b"not a numeral: 'x\\u4e00'" in outputs["ascii"]
+    assert outputs["ascii"] == outputs["utf-8"].decode("utf-8").encode("ascii", "backslashreplace")
 
 
 @pytest.mark.parametrize("via", ["file", "stdin"])
@@ -1472,18 +1486,26 @@ PACKAGE_IMPORTS = {
 }
 
 
-# array is loaded only where a power-of-two radix is counted in C.
+# array is loaded only where a power-of-two radix is counted in C, and
+# digitlaw.children only where a command may fork.
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (["--help"], []),
         (["theory"], []),
         (["bounds", "--dist", "geom"], []),
-        (["sweep", "--digit", "1", "--m-max", "5000"], ["digitlaw.sweep"]),
-        (["analyze", "--input", "a.txt", "--input", "b.txt"], ["digitlaw.parallel"]),
-        (["analyze", "--base", "16", "--input", "a.txt"], ["digitlaw.parallel", "array"]),
+        (["sweep", "--digit", "1", "--m-max", "5000"], ["digitlaw.children", "digitlaw.sweep"]),
+        (
+            ["analyze", "--input", "a.txt", "--input", "b.txt"],
+            ["digitlaw.children", "digitlaw.parallel"],
+        ),
+        (
+            ["analyze", "--base", "16", "--input", "a.txt"],
+            ["digitlaw.children", "digitlaw.parallel", "array"],
+        ),
+        (["analyze"], []),
     ],
-    ids=["help", "theory", "bounds", "sweep", "analyze", "analyze-base-16"],
+    ids=["help", "theory", "bounds", "sweep", "analyze", "analyze-base-16", "analyze-stdin"],
 )
 def test_a_command_loads_no_other_command_s_module(argv, loaded, tmp_path):
     for name in ("a.txt", "b.txt"):
@@ -1491,11 +1513,14 @@ def test_a_command_loads_no_other_command_s_module(argv, loaded, tmp_path):
     argv = [str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in argv]
     script = (
         "import sys; from digitlaw.cli import main; main(sys.argv[1:]); "
-        "print([m for m in ('digitlaw.parallel', 'digitlaw.sweep', 'array') "
-        "if m in sys.modules], file=sys.stderr)"
+        "print([m for m in ('digitlaw.children', 'digitlaw.parallel', 'digitlaw.sweep', "
+        "'array') if m in sys.modules], file=sys.stderr)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True
+        [sys.executable, "-c", script, *argv],
+        input="12 13 24\n",
+        capture_output=True,
+        text=True,
     )
     assert done.stderr == f"{loaded}\n"
 
@@ -1518,7 +1543,7 @@ PROCESS_CALLS = {"fork", "memfd_create", "waitpid", "kill", "_exit"}
 
 
 def test_one_function_forks_waits_kills_and_makes_memory_files():
-    """Every child process is run by cli.in_children, and nothing else uses
+    """Every child process is run by children.in_children, and nothing else uses
     these calls (or os.pipe), so that one rule decides when a child's work counts.
 
     The one other os._exit is cli.run's, which ends the program: a child
@@ -1533,33 +1558,73 @@ def test_one_function_forks_waits_kills_and_makes_memory_files():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                     if node.value.id == "os" and node.attr in PROCESS_CALLS | {"pipe"}:
                         used.setdefault(node.attr, set()).add(where)
-    expected = {name: {("cli.py", "in_children")} for name in PROCESS_CALLS}
+    expected = {name: {("children.py", "in_children")} for name in PROCESS_CALLS}
     expected["_exit"].add(("cli.py", "run"))
     assert used == expected
 
 
-def test_cli_imports_no_private_name_of_another_module():
-    import digitlaw.cli
+def package_imports():
+    """(file name, import node) for every import statement of the package's modules."""
+    import digitlaw
 
-    tree = ast.parse(Path(digitlaw.cli.__file__).read_text(encoding="utf-8"))
-    names = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
-    names += [
-        node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module
-    ]
+    for path in sorted(Path(digitlaw.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.name, node
+
+
+def test_no_module_imports_a_private_name_of_another_module():
+    names = []
+    for where, node in package_imports():
+        names += [(where, alias.name) for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.append((where, node.module))
     private = [
-        name
-        for name in names
+        (where, name)
+        for where, name in names
         for part in name.split(".")
         if part.startswith("_") and not part.endswith("__")
     ]
     assert private == []
+
+
+def test_only_the_package_entry_imports_cli():
+    """The imports form a DAG with cli at the top: no module but __main__.py imports it."""
+    importers = []
+    for where, node in package_imports():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:  # `from digitlaw.cli import`, `from .cli import`, `from . import cli`
+            package = node.module or ""
+            if node.level:
+                package = f"digitlaw.{package}".rstrip(".")
+            modules = [package] + [f"{package}.{alias.name}" for alias in node.names]
+        importers += [where for module in modules if module == "digitlaw.cli"]
+    assert importers == ["__main__.py"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--digit", "1", "--m-max", "10"],
+        ["analyze", "--input", "a.txt", "--input", "b.txt"],
+    ],
+    ids=["sweep", "analyze-inputs"],
+)
+def test_the_cli_module_run_as_main_is_not_imported_again(argv, tmp_path):
+    """`python -m digitlaw.cli` runs cli.py once, as __main__: no module imports digitlaw.cli."""
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("12 13 24\n")
+    argv = [str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in argv]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "digitlaw.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == EXIT_OK
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "digitlaw.cli" not in imported
+    assert "digitlaw.children" in imported  # the lines name what the command imported
 
 
 def test_json_reports_are_deterministic_modulo_meta(segment_file, tmp_path, capsys):

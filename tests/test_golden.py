@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from digitlaw import sweep
-from digitlaw.cli import fork_cpus
+from digitlaw.children import fork_cpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 from regenerate import CASES, HERE, run_case  # noqa: E402
