@@ -389,7 +389,9 @@ def _read_share(
     file would be, but one that starts past the file's first byte keeps a
     leading U+FEFF, numbers its lines on from the lines before it and adds
     no second copy of the file's label to the sample's source.  Standard
-    input, read whole, is left open.
+    input, read whole, is left open.  In base 10 tally reads each numeral's
+    printed digit; in any other base it counts the numeral's double, so
+    the reader hands it that double, converted once.
     """
     summaries = []
     for label, start, stop in share:
@@ -400,7 +402,9 @@ def _read_share(
 
             stream = open_window(label, start, stop)
         with stream as lines:
-            numerals = read_numerals(spec, lines, diags, drop_bom=not start)
+            numerals = read_numerals(
+                spec, lines, diags, drop_bom=not start, values=args.base != 10
+            )
             summaries.append(tally(numerals, args.base, source="" if start else label))
         first = lines_before(label, start) if start and diags else 0
         diagnostics.extend(
@@ -481,7 +485,7 @@ def _emit(chunks: Iterator[str], out_path: str | None) -> None:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
-            with open(out_path, "w", encoding="utf-8") as handle:
+            with open(out_path, "w", encoding="utf-8", errors="backslashreplace") as handle:
                 handle.writelines(chunks)
 
 

@@ -83,19 +83,22 @@ else:
 def _count_top_bits(chunk: list, top_bits: Counter) -> bool:
     """Count the top 16 bits of each item's double into top_bits, in C.
 
-    Returns False, counting nothing, unless every item is a str and no
-    value is subnormal: a subnormal's digit can lie below those bits.  A
-    str that float() rejects raises its ValueError.
+    A chunk of floats is counted as it is, and a chunk of str converted
+    by float() once.  Returns False, counting nothing, for any other
+    chunk, or when a value is subnormal: a subnormal's digit can lie
+    below those bits.  A str that float() rejects raises its ValueError.
     """
     from array import array  # loaded only by a power-of-two radix
 
-    try:
-        "".join(chunk)  # a TypeError unless every item is a str
-    except TypeError:
+    kinds = list(map(type, chunk))
+    if kinds.count(float) == len(chunk):
+        floats = chunk
+    elif kinds.count(str) == len(chunk):
+        # through a list, which array() copies at once; from an iterator
+        # it grows one item at a time
+        floats = list(map(float, chunk))
+    else:
         return False
-    # through a list, which array() copies at once; from an iterator it
-    # grows one item at a time
-    floats = list(map(float, chunk))
     raw = array("d", floats).tobytes()
     top = raw[_TOP_BYTES]
     # the values whose biased exponent is under 16, every zero and
@@ -144,9 +147,11 @@ def tally(
     string with no nonzero digit there, and any string in another base, is
     converted with float() once and counted by its value, by
     digits.float_digit_rule as in leading_digit_real; so outside base 10 a
-    numeral means its nearest double, and 1e400 is non-finite.  In a
-    power-of-two base (digits.RADIX_BITS) that rule is exact, and a run
-    of str items is converted and counted in C: each double's sign,
+    numeral means its nearest double, and 1e400 is non-finite; so too a
+    stream of the doubles read_numerals(..., values=True) yields counts
+    as the stream of its tokens does.  In a power-of-two base
+    (digits.RADIX_BITS) that rule is exact, and a run of floats, or of
+    str items converted once, is counted in C: each double's sign,
     exponent and top 4 significand bits are counted as one 16-bit key,
     and each distinct key gives its digit once the stream ends.  Integers
     are read exactly, other values as floats.  Sign is ignored.  Zeros

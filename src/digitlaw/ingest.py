@@ -16,7 +16,9 @@ default newline mode, which turns CR and CRLF into LF.  Malformed content
 never raises: each bad field becomes one diagnostic carrying its line
 number, appended to a list the caller owns.  Each numeral is yielded as
 the exact text slice it was printed as, so downstream tallying reads the
-printed digit instead of re-deriving it from a float.
+printed digit instead of re-deriving it from a float; a caller that
+counts values, as a base other than 10 does, asks for each as its double
+instead, converted once.
 
 The accepted numeral grammar (digits.NUMERAL_RE) is deliberately narrow:
 optional sign, ASCII digits 0-9 with at most one point, optional e/E
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -103,24 +104,25 @@ _PIECE_CHARS = 256
 # in a clean plain piece.  Over them float() accepts exactly the strings
 # NUMERAL_RE fullmatches, so a text of only these characters whose
 # blank-separated tokens all convert is a run of numerals.
-_CLEAN_CHARS = "0123456789eE+-. \t\n"
+_CLEAN_BYTES = b"0123456789eE+-. \t\n"
 
 
-def _clean_numerals(text: str) -> list[str] | None:
-    """The blank-separated tokens of text when every one is a numeral.
+def _clean_numerals(text: str, values: bool) -> list[str] | list[float] | None:
+    """The numerals of text, when its every blank-separated token is one.
 
-    None when text has a character outside _CLEAN_CHARS or a token
-    float() rejects.  Both checks run in C: a strip that leaves nothing,
-    and float() over every token.
+    They are float(token) for each token if values, else the tokens.
+    None when text has a character outside _CLEAN_BYTES or a token
+    float() rejects.  Both checks run in C: an ASCII text whose bytes
+    translate() deletes to nothing, and float() over every token.
     """
-    if text.strip(_CLEAN_CHARS):
+    if not text.isascii() or text.encode().translate(None, _CLEAN_BYTES):
         return None
     tokens = text.split()
     try:
-        deque(map(float, tokens), 0)
+        floats = list(map(float, tokens))
     except ValueError:
         return None
-    return tokens
+    return floats if values else tokens
 
 
 @functools.cache
@@ -221,21 +223,24 @@ def _lines(piece: str) -> list[str]:
     return lines
 
 
-def _read_plain(pieces: Iterator[str], diagnostics: list[Diagnostic]) -> Iterator[str]:
+def _read_plain(
+    pieces: Iterator[str], diagnostics: list[Diagnostic], values: bool
+) -> Iterator[str] | Iterator[float]:
     """read_numerals for plain: a clean piece whole, else line by line."""
     line_no = 0
     for piece in pieces:
-        tokens = _clean_numerals(piece)
-        if tokens is not None:
+        numerals = _clean_numerals(piece, values)
+        if numerals is not None:
             line_no += piece.count("\n") + (not piece.endswith("\n"))
-            yield from tokens
+            yield from numerals
             continue
         for line_no, raw in enumerate(_lines(piece), line_no + 1):
-            tokens = _clean_numerals(raw)
-            if tokens is None:
-                yield from _field_numerals(True, line_no, raw, diagnostics)
-            else:
-                yield from tokens
+            numerals = _clean_numerals(raw, values)
+            if numerals is None:
+                numerals = _field_numerals(True, line_no, raw, diagnostics)
+                if values:
+                    numerals = map(float, numerals)
+            yield from numerals
 
 
 def _read_spectrum(pieces: Iterator[str], diagnostics: list[Diagnostic]) -> Iterator[str]:
@@ -298,10 +303,15 @@ def read_numerals(
     stream: str | Iterable[str],
     diagnostics: list[Diagnostic],
     drop_bom: bool = True,
-) -> Iterator[str]:
-    """Yield the token of each numeral of a text stream, in order.
+    *,
+    values: bool = False,
+) -> Iterator[str] | Iterator[float]:
+    """Yield each numeral of a text stream, in order.
 
-    Every token yielded fullmatches NUMERAL_RE; it is not converted.  The
+    Every numeral is yielded as the token printed, which fullmatches
+    NUMERAL_RE, or if values is true as float(token), the one conversion
+    of that token.  Either way the stream is read, checked and diagnosed
+    alike, and a StructuralError is raised at the same point.  The
     stream is a string, a text stream (anything with read and readline,
     such as an open text file) or any other iterable of lines.  It is
     taken in pieces of whole lines: a string is sliced about _PIECE_CHARS
@@ -322,9 +332,10 @@ def read_numerals(
     COMMENT_PREFIX are skipped outright.
 
     For plain, a piece of only numeral characters, ASCII blanks and LFs
-    (_CLEAN_CHARS) is split once, and its tokens are checked by float()
+    (_CLEAN_BYTES) is split once, and its tokens are checked by float()
     in C: over those characters float() accepts exactly NUMERAL_RE's
-    numerals.  A piece that fails is taken line by line under the same
+    numerals, and the values route yields the doubles that check made.
+    A piece that fails is taken line by line under the same
     check.  For spectrum2col, one findall of the format's pattern per
     piece reads every line it can.  Every other line, and every
     delimited line, is split into fields, each matched on its own.
@@ -335,8 +346,10 @@ def read_numerals(
     is a wrong-shape file rather than scattered bad fields.
     """
     pieces = _pieces(stream, drop_bom)
+    if spec.format == FORMAT_PLAIN:
+        return _read_plain(pieces, diagnostics, values)
     if spec.format == FORMAT_DELIMITED:
-        return _read_delimited(spec, pieces, diagnostics)
-    if spec.format == FORMAT_SPECTRUM2COL:
-        return _read_spectrum(pieces, diagnostics)
-    return _read_plain(pieces, diagnostics)
+        numerals = _read_delimited(spec, pieces, diagnostics)
+    else:
+        numerals = _read_spectrum(pieces, diagnostics)
+    return map(float, numerals) if values else numerals

@@ -566,6 +566,18 @@ def test_table_output_escapes_what_stdout_cannot_encode(tmp_path):
     assert outputs["ascii"] == outputs["utf-8"].decode("utf-8").encode("ascii", "backslashreplace")
 
 
+def test_table_output_to_a_file_escapes_what_utf8_cannot_encode(tmp_path, capsys):
+    # a file name that is not UTF-8 gives a label holding the lone surrogate \udcff
+    path = os.path.join(os.fsencode(tmp_path), b"\xff.txt")
+    with open(path, "wb") as handle:
+        handle.write(b"12 x\n")
+    out = tmp_path / "o.txt"
+    argv = ["analyze", "--input", os.fsdecode(path), "--out", str(out)]
+    assert execute(argv).exit_code == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    assert "\\udcff.txt" in out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("via", ["file", "stdin"])
 def test_a_byte_order_mark_does_not_hide_the_first_value(via, tmp_path):
     data = b"\xef\xbb\xbf1.5 2.5\n"

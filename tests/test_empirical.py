@@ -408,17 +408,19 @@ def test_tally_counts_str_chunks_of_any_length(radix, size):
     assert summary.counts == _exact_counts(tokens, radix)
     assert (summary.skipped_zero, summary.skipped_nonfinite) == (1, 0)
     assert summary.total_read == size
+    assert tally(list(map(float, tokens)), radix) == summary
 
 
 def test_tally_reads_ints_exactly_in_a_chunk_of_str():
     # 2**60 - 1 is 0xFFFFFFFFFFFFFFF, though float() rounds it to 2**60,
-    # and 16**300 is past double range
+    # and 16**300 is past double range; so too in a chunk of floats
     tokens = ["1.5", "3e3"] * 200
-    values = tokens[:100] + [2**60 - 1, 0.75, True, 16**300] + tokens[100:]
     expected = list(_exact_counts(tokens, 16))
     for digit in (15, 12, 1, 1):  # 0.75 is 0x0.C, and True counts as 1.0
         expected[digit - 1] += 1
-    assert tally(values, 16).counts == tuple(expected)
+    for items in (tokens, list(map(float, tokens))):
+        values = items[:100] + [2**60 - 1, 0.75, True, 16**300] + items[100:]
+        assert tally(values, 16).counts == tuple(expected)
 
 
 @pytest.mark.parametrize("at", [0, 255, 256, 300])

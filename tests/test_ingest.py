@@ -1,16 +1,18 @@
 """Dataset parsing: formats, diagnostics, and refusal to crash."""
 
+import argparse
 import io
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from digitlaw import ingest
+from digitlaw import cli, empirical, ingest
 from digitlaw.digits import NUMERAL_RE, leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
 from digitlaw.empirical import tally
@@ -617,16 +619,24 @@ def per_field_oracle(spec, stream):
     return tokens, diagnostics, error
 
 
-def read_all(spec, stream):
+def read_all(spec, stream, values=False):
     """read_numerals drained into the oracle's shape."""
     diagnostics = []
     tokens = []
     error = None
     try:
-        tokens.extend(read_numerals(spec, stream, diagnostics))
+        tokens.extend(read_numerals(spec, stream, diagnostics, values=values))
     except StructuralError as exc:
         error = str(exc)
     return tokens, [(d.line, d.message) for d in diagnostics], error
+
+
+def as_values(read):
+    """A read's numerals as float.hex() texts, which tell -0.0 from 0.0 and
+    raise TypeError for anything but a float; tokens are converted first."""
+    numerals, diagnostics, error = read
+    floats = [float(n) if isinstance(n, str) else n for n in numerals]
+    return list(map(float.hex, floats)), diagnostics, error
 
 
 # Mostly no blank or ASCII ones, so that many lines take the line
@@ -692,13 +702,17 @@ def whole_line_streams(draw):
 @example((InputSpec(format="delimited", column=2), "\xa0# x,5\n"))
 # leading commas do not make a spectrum field
 @example((InputSpec(format="spectrum2col"), ",,5\n"))
+# signed zeros, values past double range and a subnormal read as doubles
+@example((InputSpec(), "-0 0.0 1e400 -1e-400 5e-324\n7 x\n"))
 def test_line_patterns_read_whole_lines_as_the_per_field_route_does(stream):
     spec, text = stream
-    assert read_all(spec, text) == per_field_oracle(spec, text)
     # the same text cut by str.splitlines: CR and CRLF stay on the line,
     # and \x0c, \x1c, \x85 and \u2028 end one too
-    raw_lines = text.splitlines(keepends=True)
-    assert read_all(spec, raw_lines) == per_field_oracle(spec, raw_lines)
+    for lines in (text, text.splitlines(keepends=True)):
+        expected = per_field_oracle(spec, lines)
+        assert read_all(spec, lines) == expected
+        # the values route: float(token) for each token, the same diagnostics
+        assert as_values(read_all(spec, lines, values=True)) == as_values(expected)
 
 
 @pytest.mark.parametrize("piece_chars", [1, 2, 3, 7])
@@ -714,6 +728,7 @@ def test_pieces_cut_anywhere_read_as_whole_lines_do(piece_chars, monkeypatch, st
     expected = per_field_oracle(spec, text)
     assert read_all(spec, text) == expected
     assert read_all(spec, io.StringIO(text, newline=None)) == expected
+    assert as_values(read_all(spec, text, values=True)) == as_values(expected)
 
 
 def test_line_numbers_carry_across_pieces():
@@ -741,6 +756,67 @@ def test_the_float_check_accepts_exactly_the_numeral_grammar():
     for size in range(1, 8):
         for chars in itertools.product("07.eE+-", repeat=size):
             text = "".join(chars)
-            assert (check(text) == [text]) == bool(fullmatch(text)), text
+            assert (check(text, False) == [text]) == bool(fullmatch(text)), text
             strings += 1
     assert strings == 960_799
+
+
+def _mixed_plain_text():
+    """Plain lines of lognormal numerals in clean runs, then lines that mix
+    them with zeros, subnormals, values past double range and junk."""
+    rng = random.Random(33)
+    odd = ["0", "-0.0", "0e7", "5e-324", "-2.5e-310", "1e400", "-1e-400", "x", "1.2.3"]
+    lines = []
+    for n in range(400):
+        k = rng.randint(1, 8)
+        tokens = [f"{rng.lognormvariate(0, 20):.{rng.randint(1, 9)}g}" for _ in range(k)]
+        if n >= 300:
+            tokens[rng.randrange(k)] = rng.choice(odd)
+        lines.append(" ".join(tokens) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("base", [3, 7, 8, 16, 32, 36])
+def test_tally_of_the_values_read_equals_tally_of_the_tokens(base):
+    text = _mixed_plain_text()
+    by_tokens, by_values = [], []
+    summary = tally(read_numerals(InputSpec(), text, by_tokens), base)
+    assert tally(read_numerals(InputSpec(), text, by_values, values=True), base) == summary
+    assert by_values == by_tokens != []
+    assert summary.skipped_zero and summary.skipped_nonfinite
+
+
+def test_a_clean_plain_token_is_converted_once(monkeypatch):
+    # ingest converts each token once; every chunk reaches tally as floats
+    # and is counted in C, which converts nothing
+    rng = random.Random(1)
+    tokens = [f"{rng.lognormvariate(0, 20):.6g}" for _ in range(5_000)]
+    text = "".join(" ".join(tokens[i : i + 7]) + "\n" for i in range(0, len(tokens), 7))
+    expected = tally(tokens, 16)
+    calls, chunks = 0, []
+
+    def counted_float(x):
+        nonlocal calls
+        calls += 1
+        return float(x)
+
+    count_top_bits = empirical._count_top_bits
+
+    def counted_top_bits(chunk, top_bits):
+        chunks.append((set(map(type, chunk)), count_top_bits(chunk, top_bits)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(ingest, "float", counted_float, raising=False)
+    monkeypatch.setattr(empirical, "_count_top_bits", counted_top_bits)
+    assert tally(read_numerals(InputSpec(), text, [], values=True), 16) == expected
+    assert calls == len(tokens)
+    assert chunks == [({float}, True)] * math.ceil(len(tokens) / 256)
+    # and so through the command's reader at a base other than 10
+    calls = 0
+    chunks.clear()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    args = argparse.Namespace(base=16, input=None)
+    summary = cli._read_share(args, InputSpec(), [("<stdin>", 0, None)], [])
+    assert summary.counts == expected.counts
+    assert calls == len(tokens)
+    assert chunks == [({float}, True)] * math.ceil(len(tokens) / 256)
