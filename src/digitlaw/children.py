@@ -1,9 +1,12 @@
 """Jobs done in forked children: the one routine that runs a child process.
 
 in_children runs analyze's shares (parallel.py) and a sweep's segments
-(sweep.py).  A child's memory file counts only if the child exits 0 after
-writing all of it; otherwise the caller does the job itself, so the output
-is the same bytes as from one process.
+(sweep.py), and processes decides for both how many there are: one per
+usable CPU, but none smaller than the smallest share worth a fork, in
+bytes or points as each caller measures it.  A child's memory file
+counts only if the child exits 0 after writing all of it; otherwise the
+caller does the job itself, so the output is the same bytes as from one
+process.
 """
 
 from __future__ import annotations
@@ -15,19 +18,21 @@ from typing import Callable, Iterator
 SIGKILL = 9  # signal.SIGKILL on every POSIX system: no handler of the caller runs in the child
 
 
-def fork_cpus() -> int:
-    """How many processes a command may run in: its usable CPUs, or 1 where it may not fork.
+def processes(size: int, smallest: int) -> int:
+    """How many processes a job of size size runs in, given the smallest share worth a fork.
 
-    The usable CPUs are the process's CPU affinity (os.cpu_count() where
-    there is none).  It may not fork without os.memfd_create, which
-    in_children needs (every system that has it has os.fork), nor while
-    another thread runs: a lock that thread holds would stay held in the child.
+    One per usable CPU, but no more than size // smallest, so that each of
+    two or more shares holds at least smallest, and never fewer than 1.
+    The usable CPUs are the process's CPU affinity
+    (os.cpu_count() where there is none), or 1 where it may not fork: not
+    without os.memfd_create, which in_children needs (every system that has
+    it has os.fork), nor while another thread runs, since a lock that thread
+    holds would stay held in the child.
     """
     if not hasattr(os, "memfd_create") or len(sys._current_frames()) > 1:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, size // smallest))
 
 
 def in_children(jobs: list, write: Callable) -> Iterator:

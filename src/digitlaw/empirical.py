@@ -81,30 +81,22 @@ else:
 
 
 def _count_top_bits(chunk: list, top_bits: Counter) -> bool:
-    """Count the top 16 bits of each item's double into top_bits, in C.
+    """Count the top 16 bits of each double of a chunk of floats into top_bits, in C.
 
-    A chunk of floats is counted as it is, and a chunk of str converted
-    by float() once.  Returns False, counting nothing, for any other
-    chunk, or when a value is subnormal: a subnormal's digit can lie
-    below those bits.  A str that float() rejects raises its ValueError.
+    Returns False, counting nothing, for a chunk with any item but a
+    float, or when a value is subnormal: a subnormal's digit can lie below
+    those bits.
     """
     from array import array  # loaded only by a power-of-two radix
 
-    kinds = list(map(type, chunk))
-    if kinds.count(float) == len(chunk):
-        floats = chunk
-    elif kinds.count(str) == len(chunk):
-        # through a list, which array() copies at once; from an iterator
-        # it grows one item at a time
-        floats = list(map(float, chunk))
-    else:
+    if list(map(type, chunk)).count(float) != len(chunk):
         return False
-    raw = array("d", floats).tobytes()
+    raw = array("d", chunk).tobytes()
     top = raw[_TOP_BYTES]
     # the values whose biased exponent is under 16, every zero and
     # subnormal among them
     tiny = top.count(0) + top.count(0x80)
-    if tiny and tiny != floats.count(0.0):
+    if tiny and tiny != chunk.count(0.0):
         return False
     top_bits.update(array("H", raw)[_TOP_WORDS])
     return True
@@ -150,18 +142,17 @@ def tally(
     numeral means its nearest double, and 1e400 is non-finite; so too a
     stream of the doubles read_numerals(..., values=True) yields counts
     as the stream of its tokens does.  In a power-of-two base
-    (digits.RADIX_BITS) that rule is exact, and a run of floats, or of
-    str items converted once, is counted in C: each double's sign,
-    exponent and top 4 significand bits are counted as one 16-bit key,
-    and each distinct key gives its digit once the stream ends.  Integers
-    are read exactly, other values as floats.  Sign is ignored.  Zeros
-    and non-finite values are skipped and tallied as such.  A value that
-    float() rejects, such as the bare string "abc", raises its ValueError
-    or TypeError, and whatever the stream raises passes through:
-    ingest.read_numerals raises StructuralError for a wrong-shape file
-    once it is exhausted.  Items are taken _CHUNK_ITEMS (256) at a time,
-    and no more than that are held; the keys counted number at most 2**16
-    whatever the stream's length.
+    (digits.RADIX_BITS) that rule is exact, and a run of floats is counted
+    in C: each double's sign, exponent and top 4 significand bits are
+    counted as one 16-bit key, and each distinct key gives its digit once
+    the stream ends.  Integers are read exactly, other values as floats.
+    Sign is ignored.  Zeros and non-finite values are skipped and tallied
+    as such.  A value that float() rejects, such as the bare string "abc",
+    raises its ValueError or TypeError, and whatever the stream raises
+    passes through: ingest.read_numerals raises StructuralError for a
+    wrong-shape file once it is exhausted.  Items are taken _CHUNK_ITEMS
+    (256) at a time, and no more than that are held; the keys counted
+    number at most 2**16 whatever the stream's length.
     """
     counts = [0] * (check_base(base) - 1)
     decimal_index = DECIMAL_INDEX.get if base == 10 else None

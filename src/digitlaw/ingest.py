@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -110,19 +111,22 @@ _CLEAN_BYTES = b"0123456789eE+-. \t\n"
 def _clean_numerals(text: str, values: bool) -> list[str] | list[float] | None:
     """The numerals of text, when its every blank-separated token is one.
 
-    They are float(token) for each token if values, else the tokens.
-    None when text has a character outside _CLEAN_BYTES or a token
-    float() rejects.  Both checks run in C: an ASCII text whose bytes
-    translate() deletes to nothing, and float() over every token.
+    They are float(token) for each token if values, else the tokens, and
+    then no double is kept.  None when text has a character outside
+    _CLEAN_BYTES or a token float() rejects.  Both checks run in C: an
+    ASCII text whose bytes translate() deletes to nothing, and float() over
+    every token.
     """
     if not text.isascii() or text.encode().translate(None, _CLEAN_BYTES):
         return None
     tokens = text.split()
     try:
-        floats = list(map(float, tokens))
+        if values:
+            return list(map(float, tokens))
+        deque(map(float, tokens), 0)
     except ValueError:
         return None
-    return floats if values else tokens
+    return tokens
 
 
 @functools.cache

@@ -2,15 +2,16 @@
 
 `analyze` pools its inputs into one sample, and every --input read, one
 file or several, goes through read_in_shares.  When the inputs are regular
-files and the process may run on two or more CPUs (its CPU affinity), plan
-cuts their bytes, taken together, into one share per CPU at line starts, so
-that one large file is split as well as several.  A share is a list of byte
-windows (path, start, stop) in input order, and open_window reads a window
-as open() reads the whole file: a cut just past a CR or LF byte is a UTF-8
-character boundary, so decoding is unchanged.  The lines before a window
-are counted in small blocks (lines_before), so that its diagnostics carry
-the file's line numbers.  A delimited file is never cut: a column missing
-from every data line is a fault of the whole file.
+files, plan cuts their bytes, taken together, at line starts into as many
+shares as children.processes gives: one per usable CPU, but no more than
+one per _MIN_SHARE_BYTES, so that one large file is split as well as
+several and a small input is read in this process alone.  A share is a
+list of byte windows (path, start, stop) in input order, and open_window
+reads a window as open() reads the whole file: a cut just past a CR or LF
+byte is a UTF-8 character boundary, so decoding is unchanged.  The lines
+before a window are counted in small blocks (lines_before), so that its
+diagnostics carry the file's line numbers.  A delimited file is never
+cut: a column missing from every data line is a fault of the whole file.
 
 read_in_shares reads each share but the first in a forked child, by the
 routine of children.py.  A fork, a short reply through a memory file and
@@ -33,7 +34,7 @@ import os
 import sys
 from typing import Callable
 
-from .children import fork_cpus, in_children
+from .children import in_children, processes
 from .empirical import SampleSummary, merge
 
 # A reply is marshal records: (counts, skipped_zero, skipped_nonfinite, source)
@@ -42,27 +43,34 @@ from .empirical import SampleSummary, merge
 # every diagnostic share the label string that a read in this process would
 # give it.  marshal is loaded at interpreter start, so this imports nothing.
 
+# The fewest bytes a share must have to get a process of its own.  Timed in
+# process on 2 CPUs (cli.execute of analyze --output json on one plain file
+# of 8 values a line, medians of 41, one share against two alternated,
+# CPython 3.11): 16 KB took 6.41 and 7.94 ms, 64 KB 9.01 and 9.31 ms, 128 KB
+# 11.93 and 11.43 ms, 192 KB 15.19 and 13.71 ms, 256 KB 17.25 and 15.12 ms.
+# In a second run 128 KB took 11.66 and 12.13 ms, 192 KB 14.71 and 15.50 ms,
+# 256 KB 17.89 and 17.20 ms.  So a second share pays from about 256 KB.
+_MIN_SHARE_BYTES = 1 << 17
+
 # Bytes read at a time where a cut is placed and where the lines before a
 # window are counted, so that neither holds more than one small block.
 _BLOCK = 4096
 
 
 def plan(inputs: list[str], *, split_files: bool = True) -> list[list[tuple]]:
-    """The inputs cut into shares of byte windows (path, start, stop), one per usable CPU.
+    """The inputs cut into shares of byte windows (path, start, stop), at most k of them.
 
-    Share j + 1 starts at the first line start at or after the mark j/k of
-    the way through the inputs' bytes taken together, k being the number
-    of CPUs: a file's first byte, or the byte past an LF, a CRLF or a CR
-    not followed by LF.  With split_files false only a file's first byte
-    counts as a line start, so no file is cut.  A window's stop is None
-    when it runs to the end of its file.  One share of whole files, read in
-    this process, unless every input is a regular file or absent (its read
-    then fails in any process alike) and children.fork_cpus gives two or more.
+    k is children.processes(total, _MIN_SHARE_BYTES) for the inputs' total
+    bytes.  Share j + 1 starts at the first line start at or after the mark
+    j/k of the way through the inputs' bytes taken together: a file's first
+    byte, or the byte past an LF, a CRLF or a CR not followed by LF.  With
+    split_files false only a file's first byte counts as a line start, so
+    no file is cut.  A window's stop is None when it runs to the end of its
+    file.  One share of whole files, read in this process, unless every
+    input is a regular file or absent (its read then fails in any process
+    alike) and k is two or more.
     """
     whole = [[(label, 0, None) for label in inputs]]
-    cpus = fork_cpus()
-    if cpus < 2:
-        return whole
     sizes = []
     for label in inputs:
         if os.path.isfile(label):
@@ -72,10 +80,13 @@ def plan(inputs: list[str], *, split_files: bool = True) -> list[list[tuple]]:
         else:
             sizes.append(0)
     total = sum(sizes)
+    count = processes(total, _MIN_SHARE_BYTES)
+    if count < 2:
+        return whole
     starts = [0]  # where each share starts in the inputs' bytes taken together
     i = offset = 0  # the input holding the mark, and where that input starts
-    for j in range(1, cpus):
-        mark = max(total * j // cpus, starts[-1])
+    for j in range(1, count):
+        mark = max(total * j // count, starts[-1])
         while i < len(inputs) and offset + sizes[i] <= mark:
             offset += sizes[i]
             i += 1

@@ -9,16 +9,17 @@ points m = lo..hi of series i, and either renderer renders any segment
 byte for byte as a whole run would: a series' heading goes with its point
 m = 1 and its closing text with its point m_max.
 
-The segments are rendered in rounds of at most one per usable CPU, each
-round by the routine of children.py: a forked child renders each segment
-but the first into a memory file while this process writes the first to
-the output, then copies each child's file in order, _COPY_BYTES at a
-time, or renders the segment itself where the routine gives no file.
+The segments are rendered in rounds, each round by the routine of
+children.py: a forked child renders each segment but the first into a
+memory file while this process writes the first to the output, then
+copies each child's file in order, _COPY_BYTES at a time, or renders the
+segment itself where the routine gives no file.  A round has as many
+segments as children.processes gives for the sweep's points: one per
+usable CPU, but no more than one per _MIN_POINTS points, so that no fork
+costs more time than it saves.
 
 A segment holds at most _MAX_POINTS points, so the text that waits in
-memory files at once is bounded whatever m_max is, and unless the sweep
-is one segment, at least _MIN_POINTS, so that no fork costs more time
-than it saves.
+memory files at once is bounded whatever m_max is.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .children import fork_cpus, in_children
+from .children import in_children, processes
 from .digits import check_digit
 from .errors import CapacityError, DomainError, UsageError
 from .lawtheory import KIND_MIN, extrema_within, frequency_series
@@ -192,33 +193,33 @@ def _json_points(
 
 def _render_on_cpus(report: dict, render: Callable) -> Iterator[str]:
     """The text of every segment in order, render(segment) giving one segment's."""
-    result = report["result"]
+    series, m_max = len(report["result"]["series"]), report["result"]["m_max"]
 
     def write(segment: list[tuple], file) -> None:
         file.writelines(piece.encode("ascii") for piece in render(segment))
 
-    for segments in _rounds(len(result["series"]), result["m_max"], fork_cpus()):
+    for segments in _rounds(series, m_max, processes(series * m_max, _MIN_POINTS)):
         with contextlib.closing(in_children(segments, write)) as texts:
             for segment, text in zip(segments, texts):
                 yield from render(segment) if text is None else _copy(text)
 
 
 def _rounds(series: int, m_max: int, cpus: int) -> Iterator[list[list[tuple]]]:
-    """The segments of series series of m_max points each, up to cpus in a round.
+    """The segments of series series of m_max points each, cpus to a round.
 
-    The segments hold equal shares of the points, to within one: at most
-    _MAX_POINTS each and, when there are two or more, at least _MIN_POINTS
-    (_MAX_POINTS is at least twice _MIN_POINTS, so rounds past the first
-    keep that too).  A round has cpus segments, or fewer in a sweep of
-    one round.
+    The segments hold equal shares of the points, to within one, and at
+    most _MAX_POINTS each.  With cpus from children.processes(points,
+    _MIN_POINTS), as _render_on_cpus asks, a sweep of two segments or more
+    has at least _MIN_POINTS in each: in one round that floor caps cpus,
+    and a sweep of more rounds has over cpus * _MAX_POINTS points, which
+    _MAX_POINTS, at least twice _MIN_POINTS, keeps above the floor.
     """
     total = series * m_max
-    rounds = -(-total // (cpus * _MAX_POINTS))
-    count = rounds * cpus if rounds > 1 else max(1, min(cpus, total // _MIN_POINTS))
+    count = -(-total // (cpus * _MAX_POINTS)) * cpus
     for first in range(0, count, cpus):
         yield [
             _pieces(total * j // count, total * (j + 1) // count, m_max)
-            for j in range(first, min(first + cpus, count))
+            for j in range(first, first + cpus)
         ]
 
 

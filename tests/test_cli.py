@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from digitlaw import sweep
+from digitlaw import parallel, sweep
+from digitlaw.children import processes
 from digitlaw.cli import (
     EXIT_BOUNDS,
     EXIT_FAILURE,
@@ -652,8 +653,11 @@ def test_analyze_column_past_every_line_is_structural_at_any_size(
 
 
 def use_cpus(monkeypatch, cpus):
-    """The process may run on cpus CPUs: one reads in one process, more in forked shares."""
+    """The process may run on cpus CPUs: one reads in one process, more in forked shares.
+
+    A share of one byte is worth a fork, so that small inputs are cut too."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(parallel, "_MIN_SHARE_BYTES", 1)
 
 
 def count_forks(monkeypatch):
@@ -747,13 +751,17 @@ def test_one_input_read_on_several_cpus_reports_as_on_one(fmt, text, tmp_path, m
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         use_cpus(monkeypatch, 1)
         serial = execute(argv)
+        forks = count_forks(monkeypatch)
         for cpus in (2, 3, 4):
             use_cpus(monkeypatch, cpus)
             if cpus == 2 and fmt[0] != "delimited":
                 mark = len(text) // 2
                 assert text[mark - 1 : mark + 1] == b"\r\n"
                 assert plan([str(path)])[1][0][1] == mark + 1
+            shares = len(plan([str(path)], split_files=fmt[0] != "delimited"))
+            forks.clear()
             assert without_meta(execute(argv)) == without_meta(serial)
+            assert len(forks) == shares - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -934,13 +942,16 @@ def test_shares_and_segments_that_get_no_process_are_done_here(
     use_cpus(monkeypatch, 1)
     expected = command_text(argv)
     use_cpus(monkeypatch, 3)
+    refused = []
 
     def refuse(*args):
+        refused.append(args)
         raise OSError(code, os.strerror(code))
 
     monkeypatch.setattr(os, call, refuse, raising=False)
     open_fds = len(os.listdir("/dev/fd"))
     assert command_text(argv) == expected
+    assert len(refused) == 2  # a process asked for each share or segment but the first
     assert len(os.listdir("/dev/fd")) == open_fds  # a memory file made for a refused fork is closed
     no_children_left()
 
@@ -998,8 +1009,8 @@ def test_segments_cover_every_point_once_in_order_within_their_bounds(
 ):
     points, segments = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "_MIN_POINTS", floor)
-        for round_ in sweep._rounds(series, m_max, cpus):
+        use_cpus(patch, cpus)
+        for round_ in sweep._rounds(series, m_max, processes(series * m_max, floor)):
             assert 1 <= len(round_) <= cpus
             segments += round_
     for segment in segments:
@@ -1392,10 +1403,11 @@ def test_no_child_outlives_the_program(command, tmp_path):
     child it left behind would still be found in that group."""
     if command == "sweep":
         argv = ["sweep", "--digit", "1", "--m-max", "200000"]
-    else:
+    else:  # inputs of a share's worth each, so cut into two or more
+        lines = parallel._MIN_SHARE_BYTES // len("12 13 24\n") + 1
         argv = ["analyze"]
         for name in ("a.txt", "b.txt"):
-            (tmp_path / name).write_text("12 13 24\n" * 5000)
+            (tmp_path / name).write_text("12 13 24\n" * lines)
             argv += ["--input", str(tmp_path / name)]
     with subprocess.Popen(
         [sys.executable, *PROGRAM, *argv],
@@ -1407,7 +1419,7 @@ def test_no_child_outlives_the_program(command, tmp_path):
             assert child.stdout.readline().startswith(b"leading-digit frequency")
             child.stdout.close()
         else:
-            assert b"used 30000" in child.stdout.read()
+            assert b"used %d" % (6 * lines) in child.stdout.read()
         err = child.stderr.read()
     assert err == b""
     assert child.returncode == (EXIT_FAILURE if command == "sweep" else EXIT_OK)

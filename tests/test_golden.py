@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from digitlaw import sweep
-from digitlaw.children import fork_cpus
+from digitlaw import parallel, sweep
+from digitlaw.cli import EXIT_USAGE
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 from regenerate import CASES, HERE, run_case  # noqa: E402
@@ -40,9 +40,37 @@ def test_golden_output_with_forked_shares(name, argv, stdin, monkeypatch):
     """The same bytes when the input files of every analyze are cut into forked
     shares, and every sweep of two points or more into forked segments."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(parallel, "_MIN_SHARE_BYTES", 1)
     monkeypatch.setattr(sweep, "_MIN_POINTS", 1)
-    assert fork_cpus() == 2  # not a second pass in one process, as where forking is off
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
     test_golden_output(name, argv, stdin)
+    # not a second pass in one process, as where forking is off
+    assert len(forks) == _forks_on_two_cpus(argv, STATUS[name]["exit_code"])
+
+
+def _forks_on_two_cpus(argv: list[str], exit_code: int) -> int:
+    """1 where a case has two shares or segments to fork for on two CPUs, both floors at 1.
+
+    A usage error is refused before any input is read or point rendered.
+    """
+    if exit_code == EXIT_USAGE:
+        return 0
+    option = dict(zip(argv, argv[1:]))
+    if argv[0] == "sweep":
+        series = int(option.get("--base", 10)) - 1 if "--all-digits" in argv else 1
+        return int(series * int(option["--m-max"]) > 1)
+    inputs = [str(HERE / value) for flag, value in zip(argv, argv[1:]) if flag == "--input"]
+    if argv[0] != "analyze" or not inputs:
+        return 0
+    return int(len(parallel.plan(inputs, split_files="delimited" not in argv)) > 1)
 
 
 @pytest.mark.parametrize(

@@ -402,6 +402,26 @@ def test_a_long_plain_line_holds_no_per_token_matcher_state():
     assert peak < 10_000_000
 
 
+def test_a_long_clean_line_keeps_no_doubles_at_base_10():
+    # a clean piece is checked by float() over its tokens; at base 10 tally
+    # reads the tokens' text, so the check keeps none of the doubles it
+    # makes, and only a base that counts values holds one per token
+    rng = random.Random(708)
+    line = " ".join(f"{rng.lognormvariate(0, 3):.6g}" for _ in range(200_000)) + "\n"
+    tally(read_numerals(InputSpec(), "1\n", [], values=True), 16)  # load the base-16 route first
+    peaks = {}
+    for base in (10, 16):
+        tracemalloc.start()
+        try:
+            summary = tally(read_numerals(InputSpec(), line, [], values=base != 10), base)
+            _, peaks[base] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.total_read == 200_000
+    # a double takes 24 bytes, and 8 more in a list
+    assert peaks[10] + 200_000 * 24 < peaks[16]
+
+
 def test_a_string_is_sliced_not_copied():
     # an io.StringIO holds 4 bytes per character; a str passed in must
     # not be copied into one, so it costs what the same line in a list does

@@ -28,10 +28,16 @@ def labels(share):
     return [label for label, _, _ in share]
 
 
+def use_cpus(monkeypatch, cpus):
+    """The process may run on cpus CPUs, and a share of one byte is worth a fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(parallel, "_MIN_SHARE_BYTES", 1)
+
+
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     """Six equal files, and three CPUs to read them with."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    use_cpus(monkeypatch, 3)
     paths = [str(tmp_path / str(i)) for i in range(6)]
     for path in paths:
         with open(path, "w", encoding="utf-8") as handle:
@@ -67,7 +73,7 @@ def test_plan_cuts_contiguous_shares_of_equal_size(inputs, tmp_path):
          "crlf-across-blocks"],
 )
 def test_plan_cuts_one_file_at_line_starts(text, cpus, shares, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    use_cpus(monkeypatch, cpus)
     path = tmp_path / "one"
     path.write_bytes(text)
     assert parallel.plan([str(path)]) == [[(str(path), start, stop)] for start, stop in shares]
@@ -84,11 +90,29 @@ def test_plan_keeps_an_empty_last_input_in_the_last_share(inputs, tmp_path):
 
 
 def test_one_cpu_reads_in_one_share(inputs, monkeypatch, tmp_path):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    use_cpus(monkeypatch, 1)
     assert parallel.plan(inputs) == [whole(*inputs)]
     one = tmp_path / "one"
     one.write_bytes(b"1 2 3\n" * 6)
     assert parallel.plan([str(one)]) == [whole(str(one))]
+
+
+def test_a_small_input_is_read_in_one_share_and_a_large_one_on_every_cpu(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    small = tmp_path / "small"
+    small.write_bytes(b"12.5 3e2 0.07 41\n" * 160)  # 2,720 bytes
+    assert parallel.plan([str(small)]) == [whole(str(small))]
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    read_here = []
+    empty = SampleSummary(10, [0] * 9, 0, 0)
+    parallel.read_in_shares([str(small)], lambda share, _: read_here.append(share) or empty, [])
+    assert read_here == [whole(str(small))]
+    large = tmp_path / "large"
+    large.write_bytes(b"1\n" * (8 * parallel._MIN_SHARE_BYTES))  # 16 shares' worth
+    shares = parallel.plan([str(large)])
+    assert [start for (_, start, _), in shares] == [
+        j * parallel._MIN_SHARE_BYTES for j in range(16)
+    ]
 
 
 def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_here(inputs):
