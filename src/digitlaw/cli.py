@@ -12,7 +12,10 @@ document (--output json) with the fixed key set command / base / params /
 result / diagnostics / meta.  Everything outside meta is a deterministic
 function of argv and the input bytes; meta carries tool version and
 timing and is exempt from that guarantee.  Exact rationals appear as
-num/den pairs next to their decimal value.
+num/den pairs next to their decimal value.  This module parses the
+command line, builds each report and renders it; parallel.read_inputs
+reads every input of analyze, standard input included, and sweep.py
+holds the sweep command.
 
 Exit codes: 0 success; 1 runtime failure (unreadable input, empty
 sample, a `sweep --m-max` too large to index); 2 usage error (bad flags,
@@ -42,10 +45,10 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
 from .digits import MAX_BASE, MIN_BASE
-from .empirical import SampleSummary, empirical_fractions, merge, tally
+from .empirical import empirical_fractions
 from .errors import DigitLawError, DomainError, UsageError
 from .fit import compare
-from .ingest import FORMAT_DELIMITED, FORMATS, InputSpec, read_numerals
+from .ingest import FORMATS, InputSpec
 from .lawtheory import (
     DigitBounds,
     DigitDistribution,
@@ -68,7 +71,6 @@ _LAWS: dict[str, Callable[[int], DigitDistribution]] = {
     "arith": arithmetic_mean_distribution,
 }
 
-_STDIN_LABEL = "<stdin>"
 _BASE_RANGE = f"{MIN_BASE}..{MAX_BASE}"
 
 
@@ -356,69 +358,14 @@ def _parse_candidates(text: str) -> list[str]:
     return names
 
 
-def _read_inputs(args, spec: InputSpec, diagnostics: list[dict]) -> SampleSummary:
-    """Every input tallied into one sample; each input's diagnostics go to diagnostics.
-
-    Standard input is read in this process.  The --input files, one or
-    several, go to parallel.read_in_shares, imported only for them, which
-    may cut them into byte windows read in forked shares, each share by
-    _read_share.  A delimited file is never cut: a column missing from
-    every data line is a fault of the whole file.
-    """
-    if args.input:
-        from .parallel import read_in_shares
-
-        def read_share(share, diags):
-            return _read_share(args, spec, share, diags)
-
-        split_files = spec.format != FORMAT_DELIMITED
-        return read_in_shares(args.input, read_share, diagnostics, split_files=split_files)
-    if sys.stdin is None:  # closed, as by `<&-`
-        raise OSError("standard input is closed; name the input with --input")
-    if hasattr(sys.stdin, "reconfigure"):  # decode and end lines as a file does
-        sys.stdin.reconfigure(encoding="utf-8", errors="replace", newline=None)
-    return _read_share(args, spec, [(_STDIN_LABEL, 0, None)], diagnostics)
-
-
-def _read_share(
-    args, spec: InputSpec, share: list[tuple], diagnostics: list[dict]
-) -> SampleSummary:
-    """The byte windows (label, start, stop) of share tallied into one sample.
-
-    Their diagnostics go to diagnostics.  A window is read as its whole
-    file would be, but one that starts past the file's first byte keeps a
-    leading U+FEFF, numbers its lines on from the lines before it and adds
-    no second copy of the file's label to the sample's source.  Standard
-    input, read whole, is left open.  In base 10 tally reads each numeral's
-    printed digit; in any other base it counts the numeral's double, so
-    the reader hands it that double, converted once.
-    """
-    summaries = []
-    for label, start, stop in share:
-        diags = []
-        stream = contextlib.nullcontext(sys.stdin)
-        if args.input:
-            from .parallel import lines_before, open_window
-
-            stream = open_window(label, start, stop)
-        with stream as lines:
-            numerals = read_numerals(
-                spec, lines, diags, drop_bom=not start, values=args.base != 10
-            )
-            summaries.append(tally(numerals, args.base, source="" if start else label))
-        first = lines_before(label, start) if start and diags else 0
-        diagnostics.extend(
-            {"source": label, "line": first + d.line, "message": d.message} for d in diags
-        )
-    return merge(summaries)
-
-
 def _bounds_doc(entries: Sequence[DigitBounds]) -> dict:
     docs = [_doc(entry, _BOUNDS_KEYS) for entry in entries]
     return {"all_within": all(doc["within"] for doc in docs), "entries": docs}
 
 
 def _handle_analyze(args, report: dict) -> int:
+    from .parallel import STDIN_LABEL, read_inputs
+
     if args.base == 2:
         raise UsageError("analyze needs base 3 or more: in base 2 every numeral leads with 1")
     names = _parse_candidates(args.candidates)
@@ -429,14 +376,14 @@ def _handle_analyze(args, report: dict) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     report["params"] = {
-        "inputs": list(args.input) if args.input else [_STDIN_LABEL],
+        "inputs": list(args.input) if args.input else [STDIN_LABEL],
         "format": args.format,
         "delimiter": args.delimiter,
         "column": args.column,
         "candidates": names,
         "require_bounds": bool(args.require_bounds),
     }
-    summary = _read_inputs(args, spec, report["diagnostics"])
+    summary = read_inputs(args.input, spec, args.base, report["diagnostics"])
     fit = compare(summary, [_LAWS[name](args.base) for name in names])
     bounds = _bounds_doc(fit.bounds)
     report["result"] = {

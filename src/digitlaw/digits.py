@@ -72,6 +72,11 @@ def leading_digit_int(m: int, base: int = 10) -> int:
     radix = check_base(base)
     if not isinstance(m, int) or isinstance(m, bool) or m <= 0:
         raise DomainError(f"need a positive integer, got {m!r}")
+    return int_digit(m, radix)
+
+
+def int_digit(m: int, radix: int) -> int:
+    """leading_digit_int(m, radix) unchecked, for a positive int m and a radix already checked."""
     if m >= radix:
         # One division by radix**e, with e at most log_radix(m) and a step
         # or two short of it, leaves a quotient of a few digits; dividing

@@ -19,13 +19,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .digits import (
-    DECIMAL_INDEX,
-    RADIX_BITS,
-    check_base,
-    float_digit_rule,
-    leading_digit_int,
-)
+from .digits import DECIMAL_INDEX, RADIX_BITS, check_base, float_digit_rule, int_digit
 from .errors import EmptySampleError, UsageError
 from .lawtheory import LABEL_EMPIRICAL, DigitDistribution
 
@@ -176,7 +170,7 @@ def tally(
                 if item == 0:
                     skipped_zero += 1
                 else:
-                    counts[leading_digit_int(abs(item), base) - 1] += 1
+                    counts[int_digit(abs(item), base) - 1] += 1
                 continue
             numeric = abs(float(item))
             if not math.isfinite(numeric):

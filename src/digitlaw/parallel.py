@@ -1,19 +1,20 @@
-"""Read analyze's input files in forked shares of byte windows, merged exactly.
+"""Read analyze's inputs, files in forked shares of byte windows, merged exactly.
 
-`analyze` pools its inputs into one sample, and every --input read, one
-file or several, goes through read_in_shares.  When the inputs are regular
-files, plan cuts their bytes, taken together, at line starts into as many
-shares as children.processes gives: one per usable CPU, but no more than
-one per _MIN_SHARE_BYTES, so that one large file is split as well as
-several and a small input is read in this process alone.  A share is a
-list of byte windows (path, start, stop) in input order, and open_window
-reads a window as open() reads the whole file: a cut just past a CR or LF
-byte is a UTF-8 character boundary, so decoding is unchanged.  The lines
+`analyze` pools its inputs into one sample, and read_inputs reads every
+one of them: standard input when no --input is named, the --input files
+otherwise.  When the inputs are regular files, plan cuts their bytes,
+taken together, at line starts into as many shares as
+children.processes gives: one per usable CPU, but no more than one per
+_MIN_SHARE_BYTES, so that one large file is split as well as several
+and a small input is read in this process alone.  A share is a list of
+byte windows (path, start, stop) in input order, and open_window reads a
+window as open() reads the whole file: a cut just past a CR or LF byte
+is a UTF-8 character boundary, so decoding is unchanged.  The lines
 before a window are counted in small blocks (lines_before), so that its
 diagnostics carry the file's line numbers.  A delimited file is never
 cut: a column missing from every data line is a fault of the whole file.
 
-read_in_shares reads each share but the first in a forked child, by the
+read_inputs reads each share but the first in a forked child, by the
 routine of children.py.  A fork, a short reply through a memory file and
 a waitpid took about 1.1 ms in a process that had imported the CLI
 (medians of 50, CPython 3.11 on 2 shared CPUs).  A child writes its
@@ -22,7 +23,9 @@ which the parent, the same interpreter, reads one at a time.  A share
 whose child gives no reply is read in this process, so it fails as a
 read in one process does.  Digit counts add exactly (empirical.merge), so
 the shares merged in input order give what a read in one process gives.
-Standard input is read in one process and never comes here.
+Standard input is one window, read whole in this process by the routine
+that reads a share (_read_share); children.py is loaded only where files
+are planned or forked for.
 """
 
 from __future__ import annotations
@@ -32,10 +35,13 @@ import io
 import marshal
 import os
 import sys
-from typing import Callable
 
-from .children import in_children, processes
-from .empirical import SampleSummary, merge
+from .empirical import SampleSummary, merge, tally
+from .ingest import FORMAT_DELIMITED, InputSpec, read_numerals
+
+# The label of standard input, in the report's inputs, the sample's source
+# and each of its diagnostics.
+STDIN_LABEL = "<stdin>"
 
 # A reply is marshal records: (counts, skipped_zero, skipped_nonfinite, source)
 # of the share's sample, then (place, line, message) of each diagnostic, place
@@ -70,6 +76,8 @@ def plan(inputs: list[str], *, split_files: bool = True) -> list[list[tuple]]:
     input is a regular file or absent (its read then fails in any process
     alike) and k is two or more.
     """
+    from .children import processes
+
     whole = [[(label, 0, None) for label in inputs]]
     sizes = []
     for label in inputs:
@@ -180,10 +188,72 @@ def open_window(path: str, start: int, stop: int | None) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BufferedReader(window), encoding="utf-8", errors="replace")
 
 
-def _reply(read_share: Callable, share: list[tuple], file) -> None:
-    """Read share by read_share; write its sample and diagnostics to file as marshal records."""
+def read_inputs(
+    inputs: list[str] | None, spec: InputSpec, base: int, diagnostics: list[dict]
+) -> SampleSummary:
+    """Every input tallied into one sample; each input's diagnostics go to diagnostics.
+
+    With no inputs (no --input) standard input is read, in this process;
+    a file named <stdin> is a file like any other.  The inputs are cut
+    into the shares of plan, each file of a delimited spec whole, and read
+    in input order: a share by _read_share unless in_children gives its
+    child's reply, so the first share, one with no child and one whose
+    child failed are read here.
+    """
+    if not inputs:
+        if sys.stdin is None:  # closed, as by `<&-`
+            raise OSError("standard input is closed; name the input with --input")
+        if hasattr(sys.stdin, "reconfigure"):  # decode and end lines as a file does
+            sys.stdin.reconfigure(encoding="utf-8", errors="replace", newline=None)
+        return _read_share([(STDIN_LABEL, 0, None)], spec, base, diagnostics, sys.stdin)
+    from .children import in_children
+
+    shares = plan(inputs, split_files=spec.format != FORMAT_DELIMITED)
+    replies = in_children(shares, lambda share, file: _reply(share, spec, base, file))
+    with contextlib.closing(replies):
+        summaries = [
+            _read_share(share, spec, base, diagnostics)
+            if reply is None
+            else _take(reply, share, diagnostics)
+            for share, reply in zip(shares, replies)
+        ]
+    return merge(summaries)
+
+
+def _read_share(
+    share: list[tuple], spec: InputSpec, base: int, diagnostics: list[dict], stdin=None
+) -> SampleSummary:
+    """The byte windows (label, start, stop) of share tallied into one sample.
+
+    Their diagnostics go to diagnostics.  A window is read as its whole
+    file would be, but one that starts past the file's first byte keeps a
+    leading U+FEFF, numbers its lines on from the lines before it and adds
+    no second copy of the file's label to the sample's source.  Given
+    stdin, the share is standard input's one window, read from stdin and
+    left open.  In base 10 tally reads each numeral's printed digit; in
+    any other base it counts the numeral's double, so the reader hands it
+    that double, converted once.
+    """
+    summaries = []
+    for label, start, stop in share:
+        diags = []
+        stream = contextlib.nullcontext(stdin)
+        if stdin is None:
+            stream = open_window(label, start, stop)
+        with stream as lines:
+            numerals = read_numerals(spec, lines, diags, drop_bom=not start, values=base != 10)
+            summaries.append(tally(numerals, base, source="" if start else label))
+        first = lines_before(label, start) if start and diags else 0
+        diagnostics.extend(
+            {"source": label, "line": first + d.line, "message": d.message} for d in diags
+        )
+    return merge(summaries)
+
+
+def _reply(share: list[tuple], spec: InputSpec, base: int, file) -> None:
+    """Read share by _read_share; write its sample and diagnostics to file as marshal records."""
     diagnostics: list[dict] = []
-    s = read_share(share, diagnostics)
+    s = _read_share(share, spec, base, diagnostics)
     place = {window[0]: i for i, window in enumerate(share)}
     marshal.dump((s.counts, s.skipped_zero, s.skipped_nonfinite, s.source), file)
     for d in diagnostics:
@@ -202,26 +272,3 @@ def _take(file, share: list[tuple], diagnostics: list[dict]) -> SampleSummary:
         except EOFError:
             return SampleSummary(len(counts) + 1, counts, *skips, source)
         diagnostics.append({"source": share[place][0], "line": line, "message": message})
-
-
-def read_in_shares(
-    inputs: list[str],
-    read_share: Callable,
-    diagnostics: list[dict],
-    *,
-    split_files: bool = True,
-) -> SampleSummary:
-    """The inputs tallied into one sample, share by share in input order.
-
-    The shares are plan(inputs, split_files=split_files).  A share is read
-    here by read_share(share, diagnostics) unless in_children gives its
-    child's reply: the first share, one with no child, one whose child failed.
-    """
-    shares = plan(inputs, split_files=split_files)
-    replies = in_children(shares, lambda share, file: _reply(read_share, share, file))
-    with contextlib.closing(replies):
-        summaries = [
-            read_share(share, diagnostics) if reply is None else _take(reply, share, diagnostics)
-            for share, reply in zip(shares, replies)
-        ]
-    return merge(summaries)

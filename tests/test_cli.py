@@ -822,6 +822,23 @@ def test_stdin_one_input_and_a_fifo_are_read_without_forking(tmp_path, monkeypat
     assert doc["result"]["sample"]["used"] == 5
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_input_named_stdin_is_read_as_a_file(cpus, tmp_path, monkeypatch, capsys):
+    """--input '<stdin>' names the file of that name; only no --input reads standard input."""
+    (tmp_path / "<stdin>").write_text("31 32 33\n41 42 x\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("95 96\n"))
+    use_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    doc = run_json(["analyze", "--input", "<stdin>"], capsys)
+    assert len(forks) == cpus - 1  # on two CPUs the file is cut into two windows
+    assert doc["params"]["inputs"] == ["<stdin>"]
+    assert doc["result"]["sample"]["source"] == "<stdin>"
+    assert doc["result"]["sample"]["counts"] == [0, 0, 3, 2, 0, 0, 0, 0, 0]
+    assert [(d["source"], d["line"]) for d in doc["diagnostics"]] == [("<stdin>", 2)]
+    assert sys.stdin.read() == "95 96\n"  # left unread
+
+
 def test_a_process_running_threads_does_not_fork(tmp_path, monkeypatch, capsys):
     paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
     for path in paths:
@@ -1510,7 +1527,8 @@ PACKAGE_IMPORTS = {
 }
 
 
-# array is loaded only where a power-of-two radix is counted in C, and
+# array is loaded only where a power-of-two radix is counted in C,
+# digitlaw.parallel by every analyze, whose inputs it reads, and
 # digitlaw.children only where a command may fork.
 @pytest.mark.parametrize(
     "argv, loaded",
@@ -1527,7 +1545,7 @@ PACKAGE_IMPORTS = {
             ["analyze", "--base", "16", "--input", "a.txt"],
             ["digitlaw.children", "digitlaw.parallel", "array"],
         ),
-        (["analyze"], []),
+        (["analyze"], ["digitlaw.parallel"]),
     ],
     ids=["help", "theory", "bounds", "sweep", "analyze", "analyze-base-16", "analyze-stdin"],
 )

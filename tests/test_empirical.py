@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from digitlaw.digits import leading_digit_real
+from digitlaw import digits, empirical
+from digitlaw.digits import leading_digit_int, leading_digit_real
 from digitlaw.empirical import (
     SampleSummary,
     empirical_distribution,
@@ -90,6 +91,27 @@ def test_tally_reads_integers_beyond_double_range_exactly():
 def test_tally_handles_negative_integers_exactly():
     summary = tally([-(10**17 + 1), -2])
     assert summary.counts[0] == 1 and summary.counts[1] == 1
+
+
+def test_tally_checks_the_radix_once_not_once_per_int(monkeypatch):
+    calls = []
+    check_base = digits.check_base
+
+    def counted_check_base(base):
+        calls.append(base)
+        return check_base(base)
+
+    for module in (digits, empirical):
+        monkeypatch.setattr(module, "check_base", counted_check_base)
+    tally([5], 7)
+    per_tally = len(calls)
+    calls.clear()
+    summary = tally(range(1, 1000), 7)
+    assert len(calls) == per_tally
+    counts = [0] * 6
+    for m in range(1, 1000):
+        counts[leading_digit_int(m, 7) - 1] += 1
+    assert summary.counts == tuple(counts)
 
 
 def test_tally_raises_on_values_float_rejects():

@@ -1,6 +1,5 @@
 """Dataset parsing: formats, diagnostics, and refusal to crash."""
 
-import argparse
 import io
 import itertools
 import math
@@ -12,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from digitlaw import cli, empirical, ingest
+from digitlaw import empirical, ingest, parallel
 from digitlaw.digits import NUMERAL_RE, leading_digit_real, leading_digit_text
 from digitlaw.errors import DomainError, StructuralError
 from digitlaw.empirical import tally
@@ -835,8 +834,7 @@ def test_a_clean_plain_token_is_converted_once(monkeypatch):
     calls = 0
     chunks.clear()
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    args = argparse.Namespace(base=16, input=None)
-    summary = cli._read_share(args, InputSpec(), [("<stdin>", 0, None)], [])
+    summary = parallel.read_inputs(None, InputSpec(), 16, [])
     assert summary.counts == expected.counts
     assert calls == len(tokens)
     assert chunks == [({float}, True)] * math.ceil(len(tokens) / 256)

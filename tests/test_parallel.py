@@ -1,8 +1,9 @@
 """Inputs read in forked shares give what a read in one process gives.
 
 The CLI's own tests run analyze through the forked path; these call
-parallel.read_in_shares with a stand-in reader, to carry diagnostics
-whose text a reply must keep exactly, and to fail in one child.
+parallel.read_inputs with a stand-in for its share reader, _read_share,
+which forked children inherit, to carry diagnostics whose text a reply
+must keep exactly, and to fail in one child.
 """
 
 import errno
@@ -13,6 +14,9 @@ import pytest
 
 from digitlaw import parallel
 from digitlaw.empirical import SampleSummary, merge
+from digitlaw.ingest import InputSpec
+
+SPEC = InputSpec()
 
 MESSAGES = [
     "not a numeral: 'x'", "tab\there", "line\nbreak\r\nand\r", "ünïcödé ✓", "", "nul\0inside"
@@ -105,7 +109,8 @@ def test_a_small_input_is_read_in_one_share_and_a_large_one_on_every_cpu(tmp_pat
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     read_here = []
     empty = SampleSummary(10, [0] * 9, 0, 0)
-    parallel.read_in_shares([str(small)], lambda share, _: read_here.append(share) or empty, [])
+    monkeypatch.setattr(parallel, "_read_share", lambda share, *_: read_here.append(share) or empty)
+    parallel.read_inputs([str(small)], SPEC, 10, [])
     assert read_here == [whole(str(small))]
     large = tmp_path / "large"
     large.write_bytes(b"1\n" * (8 * parallel._MIN_SHARE_BYTES))  # 16 shares' worth
@@ -115,11 +120,13 @@ def test_a_small_input_is_read_in_one_share_and_a_large_one_on_every_cpu(tmp_pat
     ]
 
 
-def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_here(inputs):
+def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_here(
+    inputs, monkeypatch
+):
     read_here = []
     pid = os.getpid()
 
-    def read_share(share, diagnostics):
+    def read_share(share, spec, base, diagnostics):
         if os.getpid() == pid:
             read_here.append(labels(share))
         elif labels(share) == inputs[2:4]:
@@ -132,9 +139,10 @@ def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_her
         return merge(summaries)
 
     serial_diagnostics, forked_diagnostics = [], []
-    serial = read_share(whole(*inputs), serial_diagnostics)
+    serial = read_share(whole(*inputs), SPEC, 10, serial_diagnostics)
     read_here.clear()
-    forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
+    monkeypatch.setattr(parallel, "_read_share", read_share)
+    forked = parallel.read_inputs(inputs, SPEC, 10, forked_diagnostics)
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
     # the first share is read here, and the share whose child failed again;
     # the share whose message holds a NUL comes back from its child
@@ -145,14 +153,14 @@ def test_a_reply_carries_every_field_and_a_failed_child_makes_the_share_read_her
 
 @pytest.mark.parametrize("per_input", [3, 8192])
 def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
-    per_input, inputs
+    per_input, inputs, monkeypatch
 ):
     """A child that refuses a message holding NUL leaves its share to be read
     here.  At 8,192 diagnostics an input a reply spans many 8 KB reads of its file."""
     read_here = []
     pid = os.getpid()
 
-    def read_share(share, diagnostics):
+    def read_share(share, spec, base, diagnostics):
         if os.getpid() == pid:
             read_here.append(labels(share))
         summaries = []
@@ -166,9 +174,10 @@ def test_a_reply_carries_every_field_and_a_nul_makes_the_share_read_here(
         return merge(summaries)
 
     serial_diagnostics, forked_diagnostics = [], []
-    serial = read_share(whole(*inputs), serial_diagnostics)
+    serial = read_share(whole(*inputs), SPEC, 10, serial_diagnostics)
     read_here.clear()
-    forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
+    monkeypatch.setattr(parallel, "_read_share", read_share)
+    forked = parallel.read_inputs(inputs, SPEC, 10, forked_diagnostics)
     assert len(serial_diagnostics) == 6 * per_input
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
     # the first share is read here, and the share whose message holds a NUL again
@@ -189,7 +198,7 @@ def test_a_share_whose_fork_fails_is_read_here_and_the_other_comes_from_its_chil
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         return real_fork()
 
-    def read_share(share, diagnostics):
+    def read_share(share, spec, base, diagnostics):
         if os.getpid() == pid:
             read_here.append(labels(share))
         summaries = []
@@ -200,10 +209,11 @@ def test_a_share_whose_fork_fails_is_read_here_and_the_other_comes_from_its_chil
         return merge(summaries)
 
     serial_diagnostics, forked_diagnostics = [], []
-    serial = read_share(whole(*inputs), serial_diagnostics)
+    serial = read_share(whole(*inputs), SPEC, 10, serial_diagnostics)
     read_here.clear()
     monkeypatch.setattr(os, "fork", fork)
-    forked = parallel.read_in_shares(inputs, read_share, forked_diagnostics)
+    monkeypatch.setattr(parallel, "_read_share", read_share)
+    forked = parallel.read_inputs(inputs, SPEC, 10, forked_diagnostics)
     assert len(forks) == 2
     assert (forked, forked_diagnostics) == (serial, serial_diagnostics)
     # the first share and the share whose fork failed are read here; the middle one is not
@@ -212,18 +222,19 @@ def test_a_share_whose_fork_fails_is_read_here_and_the_other_comes_from_its_chil
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_an_error_here_stops_the_children_without_waiting_for_them(inputs):
+def test_an_error_here_stops_the_children_without_waiting_for_them(inputs, monkeypatch):
     pid = os.getpid()
 
-    def read_share(share, diagnostics):
+    def read_share(share, spec, base, diagnostics):
         if os.getpid() == pid:
             raise OSError("the first share is unreadable")
         time.sleep(60)
         return SampleSummary(10, [0] * 9, 0, 0, share[0][0])
 
+    monkeypatch.setattr(parallel, "_read_share", read_share)
     started = time.monotonic()
     with pytest.raises(OSError, match="first share"):
-        parallel.read_in_shares(inputs, read_share, [])
+        parallel.read_inputs(inputs, SPEC, 10, [])
     assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
